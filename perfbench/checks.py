@@ -3,7 +3,9 @@
 Each check compares optima, schedules or ratios, never the LP's layout: an
 equivalent reformulation (implied precedence rows dropped, pinned columns
 left out, rows reordered) still passes, and the dump text is never hashed.
-LP optima are compared with HiGHS through ``scipy.optimize.linprog``.
+LP optima are compared with the HiGHS optimum (``scipy.optimize.linprog``)
+of ``reference.lp_relaxation``, a formulation frozen inside the benchmark,
+so a non-equivalent change to the program's LP fails.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import math
 
 import numpy as np
 
-from energysched import evaluate, instance, lp, timegrid
+from energysched import evaluate
+
+from . import reference
 
 #: relative tolerance between an LP optimum and the HiGHS optimum of the same LP
 LP_REL_TOL = 1e-7
@@ -58,9 +62,8 @@ def highs_optimum(c, rows, upper) -> float:
     return float(res.fun)
 
 
-def model_optimum(model: lp.LpModel) -> float:
-    rows = [(r.cols, r.vals, r.sense, r.rhs) for r in model.rows]
-    return highs_optimum(model.objective, rows, model.upper)
+def reference_optimum(inst) -> float:
+    return highs_optimum(*reference.lp_relaxation(inst))
 
 
 def parse_dump(text: str):
@@ -112,14 +115,13 @@ def parse_dump(text: str):
 def _same_optimum(what: str, got: float, want: float) -> list:
     if math.isclose(got, want, rel_tol=LP_REL_TOL, abs_tol=0.0):
         return []
-    return [f"{what} {got!r} differs from the HiGHS optimum {want!r}"]
+    return [f"{what} {got!r} differs from the reference HiGHS optimum {want!r}"]
 
 
 def check_pipeline(inst, schedule, report: dict, with_oracle: bool) -> list:
     """Problems with one ``pipeline.run`` outcome; empty when it is correct."""
     problems = [f"infeasible schedule: {p}" for p in evaluate.check_feasible(inst, schedule)]
-    model = lp.build_lp(inst, timegrid.build_grid(inst))
-    problems += _same_optimum("LP optimum", report["lp_bound"], model_optimum(model))
+    problems += _same_optimum("LP optimum", report["lp_bound"], reference_optimum(inst))
     if report["ratio_vs_lp"] < 1 - RATIO_TOL:
         problems.append(f"ratio_vs_lp {report['ratio_vs_lp']!r} below 1")
     if with_oracle and report["ratio_vs_oracle"] > report["theoretical_bound"] * (1 + RATIO_TOL):
@@ -130,9 +132,8 @@ def check_pipeline(inst, schedule, report: dict, with_oracle: bool) -> list:
     return problems
 
 
-def check_dump(instance_path, dump_text: str) -> list:
-    """The dumped LP must have the optimum of the model built in memory."""
-    inst = instance.load(instance_path)
-    model = lp.build_lp(inst, timegrid.build_grid(inst))
+def check_dump(inst, dump_text: str) -> list:
+    """The dumped LP of ``inst``, saved and loaded by the program, must have
+    the reference optimum."""
     return _same_optimum("dumped LP optimum", highs_optimum(*parse_dump(dump_text)),
-                         model_optimum(model))
+                         reference_optimum(inst))

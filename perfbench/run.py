@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark driver for energysched: one closed-loop caller, one process.
+"""Benchmark for energysched: one closed-loop caller, one process.
 
     python3 perfbench/run.py --workload solve-mid --seed 1 --seconds 35 --trace 0
 
@@ -18,8 +18,6 @@ import argparse
 import json
 import os
 import shutil
-import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -35,25 +33,6 @@ WORKLOAD_NAMES = ("solve-mid", "verify-small", "export-n40")
 #: the load on the other cores.  Simplex iteration counts depend on this
 #: setting, because it changes the order of BLAS reductions.
 BLAS_THREADS = 1
-#: child interpreters whose import of energysched is timed for setup_s
-IMPORT_REPEATS = 3
-
-
-def import_seconds() -> float:
-    """Median time to import energysched in a fresh interpreter: part of set-up.
-
-    A single in-process import is one short sample on a noisy host, so the
-    import is timed in a few child interpreters instead.
-    """
-    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
-            "import energysched; print(time.perf_counter() - t)")
-    return statistics.median(
-        float(subprocess.run([sys.executable, "-c", code, str(SRC)], check=True,
-                             capture_output=True, text=True, timeout=60).stdout)
-        for _ in range(IMPORT_REPEATS)
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
@@ -70,7 +49,6 @@ def main(argv=None) -> int:
     # before numpy loads here or in a child, or the pin has no effect
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(BLAS_THREADS)
-    import_s = import_seconds()
     sys.path[:0] = [str(SRC), str(ROOT)]
     from perfbench import bench, workloads
 
@@ -78,7 +56,7 @@ def main(argv=None) -> int:
     workdir = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=OUT))
     try:
         result = bench.measure(workloads.WORKLOADS[args.workload], args.seed, args.seconds,
-                               bool(args.trace), workdir, import_s)
+                               bool(args.trace), workdir)
     finally:
         shutil.rmtree(workdir)
     result["env"] = bench.environment(args.seed)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -30,16 +31,16 @@ from perfbench import bench, checks, run, workloads  # noqa: E402
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 TINY = {
-    "solve-mid": lambda seed, k: instance.generate(seed + k, 4, 2),
-    "verify-small": lambda seed, k: instance.generate(
+    "solve-mid": lambda seed, k: workloads.Spec(seed + k, 4, 2, GeneratorConfig()),
+    "verify-small": lambda seed, k: workloads.Spec(
         seed + k, 4, 2, GeneratorConfig(edge_density=0.0, release_max=5.0)),
-    "export-n40": lambda seed, k: instance.generate(
+    "export-n40": lambda seed, k: workloads.Spec(
         seed + k, 5, 2, GeneratorConfig(energy_kind="table" if k % 2 else "poly")),
 }
 
 
 def tiny(name: str, **changes) -> workloads.Workload:
-    return dataclasses.replace(workloads.WORKLOADS[name], size=2, make=TINY[name], **changes)
+    return dataclasses.replace(workloads.WORKLOADS[name], size=2, pick=TINY[name], **changes)
 
 
 def test_the_command_line_offers_every_workload():
@@ -66,26 +67,62 @@ def test_corrupted_lp_value_fails_the_run(tmp_path):
     def corrupted(case):
         result = pipeline.run(case.instance)
         result.report["lp_bound"] *= 1 + 1e-6
-        return workloads.Solved(result.schedule, result.report)
+        return result
 
     result = bench.measure(tiny("solve-mid", call=corrupted), seed=1, seconds=0.05,
                            trace=False, workdir=tmp_path)
     assert json.loads(bench.final_line(result))["correct"] is False
-    assert all("differs from the HiGHS optimum" in p for p in result["problems"])
+    assert all("differs from the reference HiGHS optimum" in p for p in result["problems"])
 
 
-def test_corrupted_dump_fails_the_check(tmp_path):
-    inst = TINY["export-n40"](1, 0)
-    path = tmp_path / "instance.json"
-    instance.save(inst, path)
+def test_corrupted_dump_fails_the_check():
+    inst = TINY["export-n40"](1, 0).generate()
     text = lp.lp_dump(lp.build_lp(inst, timegrid.build_grid(inst)))
-    assert checks.check_dump(path, text) == []
+    assert checks.check_dump(inst, text) == []
 
     lines = text.split("\n")
     tokens = lines[1].split()
     tokens[0::2] = [repr(float(t) * 1.01) for t in tokens[0::2]]
     lines[1] = "  " + " ".join(tokens)
-    assert checks.check_dump(path, "\n".join(lines))
+    assert checks.check_dump(inst, "\n".join(lines))
+
+
+def _implied_edge_instance():
+    """A small instance with an edge implied by two others, whose
+    precedence rows change the LP optimum."""
+    for seed in range(100):
+        inst = instance.generate(seed, 5, 2, GeneratorConfig(edge_density=0.6))
+        edges = set(inst.precedence.edges)
+        if any((a, b) in edges and (b, c) in edges for a, c in edges for b in range(10)):
+            full = checks.reference_optimum(inst)
+            if not math.isclose(_optimum_without(inst, lambda row: row.kind == "prec"), full,
+                                rel_tol=1e-6):
+                return inst
+    raise AssertionError("no instance with an implied precedence edge")
+
+
+def _optimum_without(inst, drop) -> float:
+    model = lp.build_lp(inst, timegrid.build_grid(inst))
+    return lp.solve_lp(dataclasses.replace(
+        model, rows=tuple(r for r in model.rows if not drop(r)))).objective
+
+
+def test_the_lp_check_tells_reformulations_from_wrong_lps():
+    """Against the frozen reference, the program's LP may drop implied rows
+    (a transitive reduction) but not rows that bind."""
+    inst = _implied_edge_instance()
+    edges = set(inst.precedence.edges)
+    implied = {(a, c) for a, c in edges for b in range(10) if {(a, b), (b, c)} <= edges}
+
+    def reduced(row):
+        return row.kind == "prec" and row.key[:2] in implied
+
+    result = pipeline.run(inst)
+    assert checks.check_pipeline(inst, result.schedule, result.report, False) == []
+    report = {**result.report, "lp_bound": _optimum_without(inst, reduced)}
+    assert checks.check_pipeline(inst, result.schedule, report, False) == []
+    report["lp_bound"] = _optimum_without(inst, lambda row: row.kind == "prec")
+    assert checks.check_pipeline(inst, result.schedule, report, False)
 
 
 def test_failures_are_counted_and_the_loop_goes_on(tmp_path):
@@ -101,13 +138,27 @@ def test_failures_are_counted_and_the_loop_goes_on(tmp_path):
             raise ValueError("bad input")
         return workloads.WORKLOADS["solve-mid"].call(case)
 
-    result = bench.measure(tiny("solve-mid", call=flaky), seed=1, seconds=0.3,
+    result = bench.measure(tiny("solve-mid", call=flaky), seed=1, seconds=2.0,
                            trace=False, workdir=tmp_path, cap=0.2)
     statuses = [s["status"] for s in result["statuses"]]
     assert statuses[:4] == ["SpeedRangeError", "timeout", "error", "ok"]
     last = json.loads(bench.final_line(result))
     assert last["failed"] == 3 and last["attempted"] == len(statuses)
     assert result["metrics"]["failed_frac"] == 3 / len(statuses)
+
+
+def test_adjusted_times_follow_the_program_not_the_host():
+    def runs(host, program):
+        return [(k, {"status": "ok", "outcome": None, "seconds": host * program * (1 + k),
+                     "kernel_s": host * 0.01}) for k in range(3)]
+
+    calm = bench.e2e_metrics(runs(1.0, 1.0), [0.1], [0.1], 40.0, nominal_s=0.01)
+    slow_host = bench.e2e_metrics(runs(1.7, 1.0), [0.1], [0.1], 40.0, nominal_s=0.01)
+    fast_program = bench.e2e_metrics(runs(1.7, 0.5), [0.1], [0.1], 40.0, nominal_s=0.01)
+    assert calm["instance_s_p50"] == pytest.approx(2.0)
+    assert slow_host["instance_s_p50"] == pytest.approx(calm["instance_s_p50"])
+    assert slow_host["instance_s_p50_wall"] == pytest.approx(1.7 * calm["instance_s_p50_wall"])
+    assert fast_program["instances_per_s"] == pytest.approx(2 * calm["instances_per_s"])
 
 
 def test_refuses_to_run_without_the_program(tmp_path):

@@ -3,7 +3,7 @@
 Every call site inside ``src/energysched`` reaches these functions through a
 module attribute (``lp.build_lp``, ``simplex.solve``, ...), so replacing the
 attribute with a timing wrapper records each call without editing the
-program.  Spans stay in memory; the driver writes them out when it ends.
+program.  Spans stay in memory; the benchmark writes them out when it ends.
 """
 
 from __future__ import annotations

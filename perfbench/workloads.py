@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 from energysched import cli, instance, pipeline, timegrid
 from energysched.instance import GeneratorConfig, Instance, Objective
 
-from . import checks
+from . import calibration, checks
 
 #: generator draws tried per list position when a workload fixes the LP shape
 _SHAPE_SCAN = 1000
@@ -28,23 +28,43 @@ class Case:
 
     instance: Instance
     path: Path | None = None     # the instance saved as JSON (file-based workloads)
-    out: Path | None = None      # where the LP dump of that file goes
+    out: Path | None = None      # where the first LP dump of that file is saved
+
+
+class Spec(NamedTuple):
+    """The ``instance.generate`` arguments of one list position."""
+
+    seed: int
+    n: int
+    m: int
+    config: GeneratorConfig
+
+    def generate(self) -> Instance:
+        return instance.generate(self.seed, self.n, self.m, self.config)
 
 
 @dataclass(frozen=True)
 class Workload:
     name: str
     size: int                                  # distinct instances in the list
-    make: Callable[[int, int], Instance]       # (workload seed, list position) -> instance
+    pick: Callable[[int, int], Spec]           # (workload seed, list position) -> spec
     call: Callable[[Case], object]             # the timed call for one instance
-    check: Callable[[Case, object], list]      # problems with one outcome; empty when correct
-    files: bool = False                        # save each instance as JSON during set-up
+    keep: Callable[[Case, object], object]     # what the check needs of a call's result (untimed)
+    check: Callable[[Case, object], list]      # problems with a kept outcome; empty when correct
+    kernel: Callable[[], object]               # calibration kernel run before each instance run
+    files: bool = False                        # save each instance as JSON during set-up;
+                                               # the check reads the first run's output file
     oracle: bool = False                       # the call runs ``oracle.brute_force``
 
-    def setup(self, seed: int, workdir: Path) -> list:
+    def specs(self, seed: int) -> list:
+        """The list's generator arguments; not part of the timed set-up."""
+        return [self.pick(seed, k) for k in range(self.size)]
+
+    def setup(self, specs: list, workdir: Path) -> list:
+        """Generate the instances and, for file-based workloads, save them."""
         cases = []
-        for k in range(self.size):
-            inst = self.make(seed, k)
+        for k, spec in enumerate(specs):
+            inst = spec.generate()
             if self.files:
                 path = workdir / f"instance-{k}.json"
                 instance.save(inst, path)
@@ -58,22 +78,23 @@ def subseed(seed: int, position: int, draw: int = 0) -> int:
     return (seed * 1000 + position) * _SHAPE_SCAN + draw
 
 
-def generate_shaped(seed: int, position: int, n: int, m: int, cfg: GeneratorConfig,
-                    edges: int, intervals: int) -> Instance:
-    """First generated instance with exactly ``edges`` precedence edges and a
+def shaped(seed: int, position: int, n: int, m: int, cfg: GeneratorConfig,
+           edges: int, intervals: int) -> Spec:
+    """First generator draw with exactly ``edges`` precedence edges and a
     time grid of ``intervals`` intervals.
 
     Those two set the LP's row count, and the simplex's cost per iteration
     grows with its cube, so they are the main cause of solve-time spread
     between instances of one size.  Fixing them keeps a run's figures steady
     across workload seeds, while the DAG, sizes, weights and energies still
-    vary with the seed.
+    vary with the seed.  The scan runs before set-up is timed.
     """
     for draw in range(_SHAPE_SCAN):
-        inst = instance.generate(subseed(seed, position, draw), n, m, cfg)
+        spec = Spec(subseed(seed, position, draw), n, m, cfg)
+        inst = spec.generate()
         if (len(inst.precedence.edges) == edges
                 and timegrid.build_grid(inst).T == intervals):
-            return inst
+            return spec
     raise RuntimeError(f"no instance with {edges} edges and {intervals} intervals "
                        f"in {_SHAPE_SCAN} draws at n={n}")
 
@@ -87,15 +108,15 @@ _TARDINESS = GeneratorConfig(objective=Objective.TARDINESS, edge_density=0.3, de
 _RELEASES = GeneratorConfig(edge_density=0.0, release_max=5.0)
 
 
-def _solve_mid_instance(seed: int, k: int) -> Instance:
+def _solve_mid_spec(seed: int, k: int) -> Spec:
     if k % 4 == 3:
-        return generate_shaped(seed, k, 8, 6, _TARDINESS, edges=8, intervals=23)
-    return generate_shaped(seed, k, 10, 3, _COMPLETION, edges=14, intervals=12)
+        return shaped(seed, k, 8, 6, _TARDINESS, edges=8, intervals=23)
+    return shaped(seed, k, 10, 3, _COMPLETION, edges=14, intervals=12)
 
 
-def _export_instance(seed: int, k: int) -> Instance:
+def _export_spec(seed: int, k: int) -> Spec:
     cfg = GeneratorConfig(edge_density=0.3, energy_kind="table" if k % 2 else "poly")
-    return instance.generate(subseed(seed, k), 40, 3, cfg)
+    return shaped(seed, k, 40, 3, cfg, edges=235, intervals=15)
 
 
 class Solved(NamedTuple):
@@ -109,8 +130,7 @@ class Solved(NamedTuple):
     report: dict
 
 
-def _solve(case: Case, with_oracle: bool) -> Solved:
-    result = pipeline.run(case.instance, with_oracle=with_oracle)
+def _keep_solved(case: Case, result) -> Solved:
     return Solved(result.schedule, result.report)
 
 
@@ -118,12 +138,21 @@ def _check_solved(case: Case, solved: Solved, with_oracle: bool) -> list:
     return checks.check_pipeline(case.instance, solved.schedule, solved.report, with_oracle)
 
 
-def _lp_dump(case: Case) -> None:
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        status = cli.main(["lp-dump", str(case.path), "--out", str(case.out)])
+def _lp_dump(case: Case) -> str:
+    """``energysched lp-dump <file>``; the dump goes to stdout, captured in
+    memory, so no disk write is timed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(["lp-dump", str(case.path)])
     if status != 0:
         raise RuntimeError(f"lp-dump exited with {status}: {err.getvalue().strip()}")
+    return out.getvalue()
+
+
+def _keep_dump(case: Case, text: str) -> None:
+    # every run of an instance dumps the same text; the first one is checked
+    if not case.out.exists():
+        case.out.write_text(text)
 
 
 WORKLOADS = {
@@ -131,44 +160,33 @@ WORKLOADS = {
     for w in (
         Workload(
             name="solve-mid",
-            size=12,
-            make=_solve_mid_instance,
-            call=lambda case: _solve(case, with_oracle=False),
+            size=48,
+            pick=_solve_mid_spec,
+            call=lambda case: pipeline.run(case.instance),
+            keep=_keep_solved,
             check=lambda case, solved: _check_solved(case, solved, with_oracle=False),
+            kernel=calibration.simplex_kernel,
         ),
         Workload(
             name="verify-small",
-            size=8,
-            make=lambda seed, k: instance.generate(subseed(seed, k), 7, 3, _RELEASES),
-            call=lambda case: _solve(case, with_oracle=True),
+            size=4,
+            pick=lambda seed, k: Spec(subseed(seed, k), 7, 3, _RELEASES),
+            call=lambda case: pipeline.run(case.instance, with_oracle=True),
+            keep=_keep_solved,
             check=lambda case, solved: _check_solved(case, solved, with_oracle=True),
+            kernel=calibration.oracle_kernel,
             oracle=True,
         ),
         Workload(
             name="export-n40",
-            size=10,
-            make=_export_instance,
+            size=4,
+            pick=_export_spec,
             call=_lp_dump,
-            check=lambda case, _: checks.check_dump(case.path, case.out.read_text()),
+            keep=_keep_dump,
+            check=lambda case, _: checks.check_dump(case.instance, case.out.read_text()),
+            kernel=calibration.dump_kernel,
             files=True,
         ),
     )
 }
-
-
-def linear_extensions(inst: Instance) -> int:
-    """Number of precedence-feasible job orders (the oracle's permutations)."""
-    ids = [j.id for j in inst.jobs]
-    bit = {jid: 1 << k for k, jid in enumerate(ids)}
-    need = {jid: sum(bit[a] for a, b in inst.precedence.edges if b == jid) for jid in ids}
-    ways = {0: 1}
-    for _ in ids:
-        step: dict = {}
-        for placed, count in ways.items():
-            for jid in ids:
-                if not placed & bit[jid] and need[jid] & placed == need[jid]:
-                    key = placed | bit[jid]
-                    step[key] = step.get(key, 0) + count
-        ways = step
-    return sum(ways.values())
 
