@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -118,6 +119,16 @@ def _topological_order(ids: Sequence[int], edges) -> list | None:
     return out if len(out) == len(ids) else None
 
 
+def _job_numbers(job: Job) -> dict:
+    """A job's real-valued fields, energy parameters included, by name."""
+    numbers = {"weight": job.weight, "release": job.release, "deadline": job.deadline}
+    if isinstance(job.energy, PolynomialEnergy):
+        numbers.update({"energy v": job.energy.v, "energy beta": job.energy.beta})
+    else:
+        numbers.update({f"energy costs[{k}]": c for k, c in enumerate(job.energy.costs)})
+    return numbers
+
+
 def validate(instance: Instance) -> list:
     """Report-style validation: returns the list of violated invariants.
 
@@ -130,6 +141,9 @@ def validate(instance: Instance) -> list:
     if len(set(ids)) != len(ids):
         report.append("job ids are not unique")
     for job in instance.jobs:
+        for name, value in _job_numbers(job).items():
+            if not math.isfinite(value):
+                report.append(f"job {job.id}: {name} must be finite, got {value}")
         if not isinstance(job.rho, (int, np.integer)) or job.rho < 1:
             report.append(f"job {job.id}: rho must be a positive integer, got {job.rho!r}")
         if job.weight <= 0:
@@ -145,6 +159,13 @@ def validate(instance: Instance) -> list:
             )
 
     ss = instance.speedset
+    if not all(math.isfinite(s) for s in ss.speeds):
+        report.append(f"speeds must be finite, got {list(ss.speeds)}")
+    # alpha needs no entry: its range check below already rejects nan and inf
+    for name, value in (("delta", ss.delta), ("epsilon", instance.epsilon),
+                        ("beta", instance.beta)):
+        if not math.isfinite(value):
+            report.append(f"{name} must be finite, got {value}")
     if ss.m < 1:
         report.append("speed set is empty")
     if any(s <= 0 for s in ss.speeds):

@@ -30,7 +30,7 @@ from .lp import LpSolution
 MASS_TOL = 1e-9
 
 
-class PrecedenceOrderError(AssertionError):
+class PrecedenceOrderError(RuntimeError):
     """An edge's successor got an earlier alpha interval than its predecessor.
 
     The LP prefix-dominance rows make this impossible for a feasible solution,

@@ -1,9 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 
-from energysched import cli
-from energysched.instance import GeneratorConfig, generate, save
+from energysched import cli, lp
+from energysched.instance import (
+    GeneratorConfig,
+    Instance,
+    Job,
+    PrecedenceDag,
+    SpeedSet,
+    generate,
+    save,
+    to_dict,
+)
 
 
 @pytest.fixture
@@ -116,3 +126,54 @@ def test_malformed_instance_exit_code(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "solve", str(bad))
     assert rc == 2
     assert "error:" in err
+
+
+def test_corrupt_lp_solution_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "chain.json"
+    save(Instance(jobs=(Job(1, 1, 1.0), Job(2, 1, 1.0)), speedset=SpeedSet((1.0,), 1.0),
+                  precedence=PrecedenceDag(((1, 2),))), path)
+
+    def successor_first(model, config=None):
+        # job 2 completes in the first interval, its predecessor job 1 in the last
+        x = np.zeros((2, 1, model.index.T))
+        x[0, 0, -1] = 1.0
+        x[1, 0, 0] = 1.0
+        return lp.LpSolution(x=x, objective=0.0)
+
+    monkeypatch.setattr(lp, "solve_lp", successor_first)
+    rc, out, err = run_cli(capsys, "solve", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "edge 1 -> 2" in err
+
+
+NON_FINITE = {
+    "weight": lambda d: d["jobs"][0].update(weight=float("nan")),
+    "release": lambda d: d["jobs"][1].update(release=float("inf")),
+    "deadline": lambda d: d["jobs"][0].update(deadline=float("nan")),
+    "speeds": lambda d: d["speeds"].__setitem__(1, float("inf")),
+    "delta": lambda d: d.update(delta=float("nan")),
+    "epsilon": lambda d: d.update(epsilon=float("inf")),
+    "alpha": lambda d: d.update(alpha=float("nan")),
+    "beta": lambda d: d.update(beta=float("nan")),
+    "energy v": lambda d: d["jobs"][2].update(
+        energy={"type": "poly", "v": float("inf"), "beta": 2.0}),
+    "energy beta": lambda d: d["jobs"][0].update(
+        energy={"type": "poly", "v": 1.0, "beta": float("nan")}),
+    "energy costs[1]": lambda d: d["jobs"][1].update(
+        energy={"type": "table", "costs": [1.0, float("nan")]}),
+}
+
+
+@pytest.mark.parametrize("field", NON_FINITE)
+def test_non_finite_input_exits_2_naming_the_field(field, tmp_path, capsys):
+    data = to_dict(generate(11, 3, 2, GeneratorConfig(edge_density=0.4)))
+    NON_FINITE[field](data)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))      # json writes NaN and Infinity literally
+    rc, out, err = run_cli(capsys, "solve", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"{field} must be finite" in err or f"{field} must lie in" in err

@@ -165,6 +165,44 @@ def test_solution_feasibility_certified():
     assert np.allclose(sol.x.sum(axis=(1, 2)), 1.0, atol=1e-7)
 
 
+def test_long_processing_times_pass_the_relative_residual_check():
+    # rho ~ 1e9 cycles puts capacity right-hand sides near 1e10, where a few
+    # ulps of a row sum exceed an absolute 1e-7; the optimum itself is honest
+    import dataclasses
+    base = generate(6, 5, 3, GeneratorConfig(edge_density=0.3, rho_max=9))
+    jobs = tuple(dataclasses.replace(j, rho=j.rho * 10**9) for j in base.jobs)
+    inst = dataclasses.replace(base, jobs=jobs)
+    model = build_lp(inst, build_grid(inst))
+    sol = solve_lp(model)
+    A, senses, b = es.lp.constraint_arrays(model)
+    residual = es.lp._max_residual(A, senses, b, sol.x.ravel())
+    assert 1e-7 < residual <= 1e-7 * np.abs(b).max()
+
+
+def _loop_max_residual(A, senses, b, x):
+    """Row-by-row reference for the vectorized residual."""
+    ax = A @ x
+    worst = 0.0
+    for k, s in enumerate(senses):
+        if s == "=":
+            worst = max(worst, abs(ax[k] - b[k]))
+        elif s == "<=":
+            worst = max(worst, ax[k] - b[k])
+        else:
+            worst = max(worst, b[k] - ax[k])
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_max_residual_matches_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1, 1, (12, 5))
+    x = rng.uniform(0, 1, 5)
+    b = A @ x + rng.uniform(-0.1, 0.1, 12) * (seed > 0)   # seed 0: every row tight
+    senses = list(rng.choice(["=", "<=", ">="], 12))
+    assert es.lp._max_residual(A, senses, b, x) == _loop_max_residual(A, senses, b, x)
+
+
 def test_lp_dump_contains_named_columns_and_rows():
     inst = generate(2, 2, 2, GeneratorConfig(edge_density=1.0))
     grid = build_grid(inst)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from energysched import SolverConfig, solve
+from energysched import SolverConfig, lp, simplex, solve, timegrid
+from energysched.instance import GeneratorConfig, Objective, generate
 from energysched.simplex import SolveResult
 
 from helpers import random_box_lp, vertex_enum_min
@@ -107,3 +108,50 @@ def test_iteration_limit_reported():
     res = solve(c, A, ["<="] * len(b), b, upper=upper, config=cfg)
     assert isinstance(res, SolveResult)
     assert res.status == "iteration_limit"
+
+
+def _pipeline_model(seed, n, m, cfg):
+    inst = generate(seed, n, m, cfg)
+    return lp.build_lp(inst, timegrid.build_grid(inst))
+
+
+PIPELINE_LPS = [(1, n, 3, GeneratorConfig(edge_density=0.3)) for n in (8, 10, 12, 15)]
+PIPELINE_LPS.append((1, 8, 6, GeneratorConfig(objective=Objective.TARDINESS, edge_density=0.3)))
+
+
+@pytest.mark.parametrize(
+    "seed,n,m,cfg", PIPELINE_LPS,
+    ids=[f"{cfg.objective.value}-n{n}-m{m}" for _, n, m, cfg in PIPELINE_LPS],
+)
+def test_pipeline_lp_matches_highs(seed, n, m, cfg):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    model = _pipeline_model(seed, n, m, cfg)
+    sol = lp.solve_lp(model)
+    # more pivots than one refactor interval: B^-1 drift is exercised too
+    assert sol.iterations > simplex.REFACTOR_EVERY
+
+    A, senses, b = lp.constraint_arrays(model)
+    senses = np.asarray(senses)
+    flip = np.where(senses == ">=", -1.0, 1.0)   # ">=" rows as "<=" rows
+    ub = senses != "="
+    ref = linprog(
+        model.objective,
+        A_ub=(flip[:, None] * A)[ub], b_ub=(flip * b)[ub],
+        A_eq=A[~ub], b_eq=b[~ub],
+        bounds=np.column_stack([np.zeros(model.ncols), model.upper]),
+        method="highs",
+    )
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=0.0)
+
+
+def test_pipeline_lp_deterministic_bit_for_bit():
+    model = _pipeline_model(1, 10, 3, GeneratorConfig(edge_density=0.3))
+    first = lp.solve_lp(model)
+    second = lp.solve_lp(model)
+    assert np.array_equal(first.x, second.x)
+    assert first.objective == second.objective
+    assert first.phase1_iterations > 0 and first.phase2_iterations > 0
+    assert (first.phase1_iterations, first.phase2_iterations) == (
+        second.phase1_iterations, second.phase2_iterations)
+    assert first.iterations == first.phase1_iterations + first.phase2_iterations
