@@ -73,6 +73,30 @@ class PrecedenceDag:
     def predecessors(self, job_id: int):
         return [a for a, b in self.edges if b == job_id]
 
+    def transitive_reduction(self) -> tuple:
+        """The edges that no path of two or more other edges implies.
+
+        Edges keep their order; a repeated edge is kept once.
+        """
+        edges = tuple(dict.fromkeys(self.edges))
+        ids = sorted({v for edge in edges for v in edge})
+        order = _topological_order(ids, edges)
+        if order is None:
+            raise ValueError("precedence graph has a cycle")
+        bit = {v: 1 << k for k, v in enumerate(ids)}
+        succ = {v: [] for v in ids}
+        for a, b in edges:
+            succ[a].append(b)
+        below = {}                 # bit mask of the jobs reachable from each job
+        for v in reversed(order):
+            below[v] = 0
+            for w in succ[v]:
+                below[v] |= bit[w] | below[w]
+        return tuple(
+            (a, b) for a, b in edges
+            if not any(below[c] & bit[b] for c in succ[a])
+        )
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -194,6 +218,16 @@ def validate(instance: Instance) -> list:
         report.append(f"beta must be >= 2, got {instance.beta}")
     if instance.objective is Objective.TARDINESS and any(j.release > 0 for j in instance.jobs):
         report.append("tardiness objective requires all release dates to be 0")
+    if not report:
+        # deferred: timegrid depends on this module; the count needs valid fields
+        from .timegrid import MAX_INTERVALS, interval_count
+
+        count = interval_count(instance)
+        if count > MAX_INTERVALS:
+            report.append(
+                f"epsilon = {instance.epsilon} gives a time grid of {count:.4g} "
+                f"intervals, more than {MAX_INTERVALS}; use a larger epsilon"
+            )
     return report
 
 
@@ -419,6 +453,6 @@ def generate(seed: int, n: int, m: int, config: GeneratorConfig | None = None) -
         beta=cfg.beta,
     )
     report = validate(instance)
-    if report:  # generator contract: every generated instance validates
-        raise AssertionError("generator produced an invalid instance: " + "; ".join(report))
+    if report:  # a config field, such as a tiny epsilon, can make the instance invalid
+        raise ValueError("generated instance is invalid: " + "; ".join(report))
     return instance

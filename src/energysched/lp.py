@@ -7,10 +7,26 @@ and interval t carries objective coefficient
 * ``w_i * tau_{t-1}`` (completion time) or ``w_i * (tau_{t-1} - d_i)^+``
   (tardiness).
 
-Constraints: each job completes exactly once; prefix machine capacity per
-interval; variables whose interval ends before the job could possibly finish
-are pinned to zero; per precedence edge and interval, the predecessor's
-prefix mass dominates the successor's.
+Variables whose interval ends before the job could possibly finish are
+pinned to zero by an upper bound of 0.  With ``X_i(t)`` the job's mass in
+intervals 1..t, the rows are
+
+* ``assign``: each job completes exactly once, ``X_i(T) = 1``;
+* ``capacity``: per interval t, the machine time of all mass in 1..t fits
+  in ``tau_t``;
+* ``prec``: per precedence edge (a, b), the predecessor's prefix mass
+  dominates the successor's, ``X_a(t) >= X_b(t)``.
+
+Only the precedence rows that no other row or bound implies are built; the
+feasible region is that of the row for every edge and every t:
+
+* an edge in the transitive closure of the other edges gets no rows, since
+  prefix dominance is transitive (``X_a >= X_c >= X_b``);
+* t = T gets no row, since both prefixes equal 1 by the assign rows;
+* t before the successor's first interval with an unpinned column gets no
+  row, since the bounds force ``X_b(t) = 0 <= X_a(t)``.
+
+Rounding and evaluation still enforce the full edge set.
 """
 
 from __future__ import annotations
@@ -44,11 +60,6 @@ class VarIndex:
         # i, j zero-based positions; t one-based interval index
         return (i * self.m + j) * self.T + (t - 1)
 
-    def triple(self, col: int):
-        t = col % self.T + 1
-        ij = col // self.T
-        return ij // self.m, ij % self.m, t
-
 
 @dataclass(frozen=True)
 class Row:
@@ -73,9 +84,13 @@ class LpModel:
     def ncols(self) -> int:
         return self.index.ncols
 
-    def col_name(self, col: int) -> str:
-        i, j, t = self.index.triple(col)
-        return f"x_{self.instance.jobs[i].id}_{j + 1}_{t}"
+    def col_names(self) -> list:
+        """Every column's name ``x_<id>_<j>_<t>``, in column order."""
+        m, T = self.index.m, self.index.T
+        return [
+            f"x_{job.id}_{j}_{t}"
+            for job in self.instance.jobs for j in range(1, m + 1) for t in range(1, T + 1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -105,55 +120,48 @@ def grid_energy_costs(job, speedset) -> np.ndarray:
 def _build(instance: Instance, grid: TimeGrid, tardiness: bool) -> LpModel:
     n, m, T = instance.n, instance.speedset.m, grid.T
     index = VarIndex(n, m, T)
-    speeds = instance.speedset.speeds
+    jobs = instance.jobs
+    speeds = np.array(instance.speedset.speeds)
+    rho = np.array([job.rho for job in jobs], dtype=float)
+    weight = np.array([job.weight for job in jobs])
+    release = np.array([job.release for job in jobs])
+    tau = np.array(grid.tau)
 
-    obj = np.zeros(index.ncols)
-    upper = np.ones(index.ncols)
-    for i, job in enumerate(instance.jobs):
-        e = grid_energy_costs(job, instance.speedset)
-        for j in range(m):
-            for t in range(1, T + 1):
-                c = index.col(i, j, t)
-                if tardiness:
-                    sched = job.weight * max(grid.lower(t) - job.deadline, 0.0)
-                else:
-                    sched = job.weight * grid.lower(t)
-                obj[c] = e[j] + sched
-                if grid.upper(t) < (job.release + job.rho / speeds[j]) * (1 - 1e-12):
-                    upper[c] = 0.0
-        if all(
-            upper[index.col(i, j, t)] == 0.0 for j in range(m) for t in range(1, T + 1)
-        ):
-            raise InfeasibleHorizonError(
-                f"job {job.id} cannot complete within the grid horizon "
-                f"(tau_T = {grid.tau[-1]}, needs {job.release + job.rho / speeds[-1]})"
-            )
+    energy = np.array([grid_energy_costs(job, instance.speedset) for job in jobs])
+    if tardiness:
+        deadline = np.array([job.deadline for job in jobs])
+        sched = weight[:, None] * np.maximum(tau[:-1] - deadline[:, None], 0.0)
+    else:
+        sched = weight[:, None] * tau[:-1]
+    obj = (energy[:, :, None] + sched[:, None, :]).ravel()
 
-    rows = []
-    for i, job in enumerate(instance.jobs):
-        cols = np.array([index.col(i, j, t) for j in range(m) for t in range(1, T + 1)])
-        rows.append(Row("assign", (job.id,), cols, np.ones(len(cols)), "=", 1.0))
+    # a column is pinned when its interval ends before the job can finish
+    load = rho[:, None] / speeds                                   # (n, m)
+    free = tau[1:] >= ((release[:, None] + load) * (1 - 1e-12))[:, :, None]
+    upper = free.ravel().astype(float)
+    job_free = free.any(axis=1)                                    # (n, T)
+    for i in np.flatnonzero(~job_free.any(axis=1)):
+        raise InfeasibleHorizonError(
+            f"job {jobs[i].id} cannot complete within the grid horizon "
+            f"(tau_T = {grid.tau[-1]}, needs {jobs[i].release + jobs[i].rho / speeds[-1]})"
+        )
 
+    block = np.arange(index.ncols).reshape(n, m, T)   # block[i, j, t - 1] = index.col(i, j, t)
+    rows = [
+        Row("assign", (job.id,), block[i].ravel(), np.ones(m * T), "=", 1.0)
+        for i, job in enumerate(jobs)
+    ]
     for t in range(1, T + 1):
-        cols, vals = [], []
-        for i, job in enumerate(instance.jobs):
-            for j in range(m):
-                for u in range(1, t + 1):
-                    cols.append(index.col(i, j, u))
-                    vals.append(job.rho / speeds[j])
-        rows.append(Row("capacity", (t,), np.array(cols), np.array(vals), "<=", grid.upper(t)))
+        rows.append(Row("capacity", (t,), block[:, :, :t].ravel(),
+                        np.repeat(load.ravel(), t), "<=", grid.upper(t)))
 
-    for a, b in instance.precedence.edges:
-        ia, ib = instance.job_index(a), instance.job_index(b)
-        for t in range(1, T + 1):
-            cols, vals = [], []
-            for j in range(m):
-                for u in range(1, t + 1):
-                    cols.append(index.col(ia, j, u))
-                    vals.append(1.0)
-                    cols.append(index.col(ib, j, u))
-                    vals.append(-1.0)
-            rows.append(Row("prec", (a, b, t), np.array(cols), np.array(vals), ">=", 0.0))
+    first = job_free.argmax(axis=1) + 1     # first interval with an unpinned column
+    pos = {job.id: i for i, job in enumerate(jobs)}
+    for a, b in instance.precedence.transitive_reduction():
+        ia, ib = pos[a], pos[b]
+        for t in range(first[ib], T):
+            cols = np.stack([block[ia, :, :t], block[ib, :, :t]], axis=-1).ravel()
+            rows.append(Row("prec", (a, b, t), cols, np.tile([1.0, -1.0], m * t), ">=", 0.0))
 
     return LpModel(instance, grid, index, obj, upper, tuple(rows))
 
@@ -237,21 +245,20 @@ def _max_residual(A, senses, b, x) -> float:
 
 def lp_dump(model: LpModel) -> str:
     """Human-readable text form: one line per row, named columns x_<id>_<j>_<t>."""
+    names = model.col_names()
     lines = ["minimize"]
     terms = [
-        f"{model.objective[c]:+.12g} {model.col_name(c)}"
-        for c in range(model.ncols)
-        if model.objective[c] != 0.0
+        f"{v:+.12g} {names[c]}" for c, v in enumerate(model.objective.tolist()) if v != 0.0
     ]
     lines.append("  " + " ".join(terms))
     lines.append("subject to")
     for row in model.rows:
         label = row.kind + "_" + "_".join(str(k) for k in row.key)
         body = " ".join(
-            f"{v:+.12g} {model.col_name(c)}" for c, v in zip(row.cols, row.vals)
+            f"{v:+.12g} {names[c]}" for c, v in zip(row.cols.tolist(), row.vals.tolist())
         )
         lines.append(f"  {label}: {body} {row.sense} {row.rhs:.12g}")
     lines.append("bounds")
-    for c in range(model.ncols):
-        lines.append(f"  0 <= {model.col_name(c)} <= {model.upper[c]:.12g}")
+    for name, hi in zip(names, model.upper.tolist()):
+        lines.append(f"  0 <= {name} <= {hi:.12g}")
     return "\n".join(lines) + "\n"

@@ -10,13 +10,14 @@ import dataclasses
 from dataclasses import dataclass
 
 from . import energy as energy_mod
+from . import instance as instance_mod
 from . import lp, oracle, rounding, timegrid
 from .instance import Instance, Objective
 from .simplex import SolverConfig
 
 
 class AssumptionError(RuntimeError):
-    """A tabulated energy cost grows too fast for the tardiness guarantee."""
+    """A job's energy cost grows too fast for the tardiness guarantee."""
 
 
 def theoretical_bound(instance: Instance, alpha: float) -> float:
@@ -40,16 +41,14 @@ class PipelineResult:
 
 
 def check_energy_assumption(instance: Instance) -> None:
-    """Tardiness speed-scaling needs bounded cost growth per tabulated job."""
+    """Tardiness speed-scaling needs bounded cost growth for every job."""
     for job in instance.jobs:
-        if isinstance(job.energy, energy_mod.TableEnergy):
-            if not energy_mod.check_assumption1(
-                job.energy, instance.beta, instance.speedset.speeds
-            ):
-                raise AssumptionError(
-                    f"job {job.id}: tabulated energy cost violates the growth "
-                    f"condition for beta={instance.beta}; tardiness guarantee void"
-                )
+        if not energy_mod.check_assumption1(job.energy, instance.beta, instance.speedset.speeds):
+            raise AssumptionError(
+                f"job {job.id}: energy cost violates the growth condition "
+                f"cost(g*s) <= g**(beta-1) * cost(s) for beta={instance.beta}; "
+                f"tardiness guarantee void"
+            )
 
 
 def run(
@@ -61,15 +60,23 @@ def run(
     oracle_caps: tuple = (7, 4),
 ) -> PipelineResult:
     if epsilon is not None:
+        # the override was not validated with the instance: a tiny epsilon hangs the grid
         instance = dataclasses.replace(instance, epsilon=epsilon)
+        report = instance_mod.validate(instance)
+        if report:
+            raise ValueError("invalid instance: " + "; ".join(report))
     a = instance.alpha if alpha is None else alpha
+
+    if instance.objective is Objective.TARDINESS:
+        # both fail fast: neither depends on the LP solution
+        check_energy_assumption(instance)
+        rounding.check_speed_range(instance, a)
 
     grid = timegrid.build_grid(instance)
     model = lp.build_lp(instance, grid)
     solution = lp.solve_lp(model, solver_config)
 
     if instance.objective is Objective.TARDINESS:
-        check_energy_assumption(instance)
         schedule = rounding.saias_t(instance, solution, alpha=a)
     else:
         schedule = rounding.saias(instance, solution, alpha=a)
@@ -85,7 +92,7 @@ def run(
         "delta": instance.speedset.delta,
     }
     if instance.objective is Objective.TARDINESS:
-        report["gamma"] = (1 + instance.epsilon) / (a * (1 - a))
+        report["gamma"] = rounding.tardiness_gamma(instance, a)
     if with_oracle:
         exact = oracle.brute_force(instance, n_cap=oracle_caps[0], m_cap=oracle_caps[1])
         report["oracle_cost"] = exact.cost

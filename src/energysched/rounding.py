@@ -203,6 +203,28 @@ def round_speed_energy_aware(speed: float, speedset: SpeedSet, grid_costs) -> fl
     return speeds[lo_idx] if grid_costs[lo_idx] <= grid_costs[lo_idx + 1] else speeds[lo_idx + 1]
 
 
+def tardiness_gamma(instance: Instance, alpha: float) -> float:
+    """SAIAS-T's speed-up factor ``(1 + epsilon) / (alpha * (1 - alpha))``."""
+    return (1 + instance.epsilon) / (alpha * (1 - alpha))
+
+
+def check_speed_range(instance: Instance, alpha: float) -> None:
+    """Raise :class:`SpeedRangeError` when SAIAS-T can round no job at all.
+
+    Every alpha speed is a harmonic mean of grid speeds, so at least sigma_1;
+    when gamma * sigma_1 already exceeds sigma_m, every ``round_speed_up``
+    fails, whatever the LP solution.
+    """
+    gamma = tardiness_gamma(instance, alpha)
+    ss = instance.speedset
+    if gamma * ss.min * (1 - 1e-12) > ss.max:
+        raise SpeedRangeError(
+            f"gamma * sigma_1 = {gamma * ss.min} exceeds sigma_m = {ss.max} "
+            f"(gamma = (1 + epsilon) / (alpha * (1 - alpha)) = {gamma}); "
+            f"extend the speed set"
+        )
+
+
 def assemble(instance: Instance, order, speed_by_id) -> Schedule:
     """Run jobs in order, each starting at max(release, previous completion)."""
     start, completion = {}, {}
@@ -249,7 +271,7 @@ def saias_t(instance: Instance, solution: LpSolution, alpha: float | None = None
     if instance.has_releases:
         raise ValueError("saias_t does not support release dates")
     a = instance.alpha if alpha is None else alpha
-    gamma = (1 + instance.epsilon) / (a * (1 - a))
+    gamma = tardiness_gamma(instance, a)
     data = compute_alpha_data(solution, instance, a)
     order = order_jobs([d.interval for d in data], instance.precedence,
                        [j.id for j in instance.jobs])

@@ -10,6 +10,7 @@ release.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -34,13 +35,36 @@ class TimeGrid:
         return self.tau[t]
 
 
-def build_grid(instance: Instance) -> TimeGrid:
-    """Smallest grid covering ``max_i r_i + sum_i rho_i / sigma_1``."""
-    rho_min = min(j.rho for j in instance.jobs)
-    kappa = rho_min / instance.speedset.max
+#: most intervals :func:`interval_count` may give before ``validate`` rejects
+#: the instance.  The LP has n*m*T columns and a capacity block of about
+#: n*m*T^2/2 nonzeros, so no solve is within reach past this.
+MAX_INTERVALS = 1000
+
+
+def _span(instance: Instance) -> tuple:
+    """``kappa`` and the horizon ``max_i r_i + sum_i rho_i / sigma_1``."""
+    kappa = min(j.rho for j in instance.jobs) / instance.speedset.max
     horizon = max(j.release for j in instance.jobs) + sum(
         j.rho / instance.speedset.min for j in instance.jobs
     )
+    return kappa, horizon
+
+
+def interval_count(instance: Instance) -> float:
+    """T of :func:`build_grid` in closed form, without building the grid.
+
+    ``1 + ceil(log(horizon / kappa) / log1p(epsilon))``; it can differ from
+    the built grid by one where rounding decides the last boundary, and it
+    is ``inf`` when epsilon is too small for the quotient to be finite.
+    """
+    kappa, horizon = _span(instance)
+    steps = math.log(horizon / kappa) / math.log1p(instance.epsilon)
+    return 1 + math.ceil(steps) if math.isfinite(steps) else math.inf
+
+
+def build_grid(instance: Instance) -> TimeGrid:
+    """Smallest grid covering ``max_i r_i + sum_i rho_i / sigma_1``."""
+    kappa, horizon = _span(instance)
     tau = [kappa, kappa]
     # repeated multiplication: each boundary ratio is (1 + epsilon) to 1 ulp
     while tau[-1] < horizon * (1 - 1e-15):

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from energysched import cli, lp
+from energysched import cli, lp, timegrid
+from energysched.energy import PolynomialEnergy, TableEnergy
 from energysched.instance import (
     GeneratorConfig,
     Instance,
     Job,
+    Objective,
     PrecedenceDag,
     SpeedSet,
     generate,
@@ -177,3 +179,58 @@ def test_non_finite_input_exits_2_naming_the_field(field, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error:")
     assert f"{field} must be finite" in err or f"{field} must lie in" in err
+
+
+def _unreachable(*args, **kwargs):
+    pytest.fail("an invalid run reached the LP")
+
+
+STEEP_ENERGY = {
+    "poly": PolynomialEnergy(1.0, 4.0),      # exponent 4 against the instance's beta = 2
+    "table": TableEnergy((1.0, 100.0)),
+}
+
+
+@pytest.mark.parametrize("kind", STEEP_ENERGY)
+def test_energy_growth_violation_exits_2_before_the_solve(kind, tmp_path, capsys, monkeypatch):
+    inst = Instance(
+        jobs=(Job(1, 1, 1.0, deadline=5.0), Job(2, 2, 1.0, deadline=5.0, energy=STEEP_ENERGY[kind])),
+        speedset=SpeedSet((1.0, 8.0), 7.0),   # gamma * sigma_1 = 6 fits under sigma_2
+        objective=Objective.TARDINESS,
+        beta=2.0,
+    )
+    path = tmp_path / "steep.json"
+    save(inst, path)
+    monkeypatch.setattr(lp, "build_lp", _unreachable)
+    monkeypatch.setattr(lp, "solve_lp", _unreachable)
+    rc, out, err = run_cli(capsys, "solve", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: job 2:")
+    assert "growth condition" in err
+
+
+@pytest.fixture
+def tiny_epsilon_path(tmp_path):
+    data = to_dict(generate(11, 3, 2, GeneratorConfig(edge_density=0.4)))
+    data["epsilon"] = 1e-17
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "lp-dump", "solve --epsilon", "gen"])
+def test_tiny_epsilon_exits_2_without_building_the_grid(
+        command, inst_path, tiny_epsilon_path, capsys, monkeypatch):
+    argv = {
+        "solve": ["solve", tiny_epsilon_path],
+        "lp-dump": ["lp-dump", tiny_epsilon_path],
+        "solve --epsilon": ["solve", inst_path, "--epsilon", "1e-17"],
+        "gen": ["gen", "--seed", "1", "--n", "3", "--m", "2", "--epsilon", "1e-17"],
+    }[command]
+    monkeypatch.setattr(timegrid, "build_grid", _unreachable)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "epsilon = 1e-17" in err

@@ -40,6 +40,18 @@ def test_two_cycle_reported():
     assert any("cycle" in msg for msg in validate(inst))
 
 
+def test_transitive_reduction_drops_implied_and_repeated_edges():
+    # 1 -> 2 -> 3 -> 4 implies 1 -> 3, 1 -> 4 and 2 -> 4; 5 -> 4 stands alone
+    dag = PrecedenceDag(((1, 3), (1, 2), (2, 3), (1, 4), (3, 4), (2, 4), (5, 4), (1, 2)))
+    assert dag.transitive_reduction() == ((1, 2), (2, 3), (3, 4), (5, 4))
+    assert PrecedenceDag().transitive_reduction() == ()
+
+
+def test_transitive_reduction_rejects_a_cycle():
+    with pytest.raises(ValueError, match="cycle"):
+        PrecedenceDag(((1, 2), (2, 3), (3, 1))).transitive_reduction()
+
+
 def test_speed_spacing_violation():
     inst = minimal_instance(speedset=SpeedSet((1.0, 4.0), 1.0))
     assert any("spacing" in msg for msg in validate(inst))

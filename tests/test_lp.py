@@ -50,15 +50,76 @@ def test_release_beyond_horizon_fails_early():
         build_completion_lp(inst, small)
 
 
+def _kept_prec_rows(inst, grid):
+    """Keys (a, b, t) of the precedence rows the LP keeps, from the instance alone.
+
+    An edge keeps rows when no path of two or more edges joins its ends; it
+    keeps the intervals t < T from the first one in which the successor can
+    finish at some speed.
+    """
+    edges = set(inst.precedence.edges)
+    ids = [j.id for j in inst.jobs]
+    reach = set(edges)
+    for k in ids:                                   # Warshall closure
+        for i in ids:
+            for j in ids:
+                if (i, k) in reach and (k, j) in reach:
+                    reach.add((i, j))
+    kept = []
+    for a, b in dict.fromkeys(inst.precedence.edges):
+        if any((a, c) in edges and (c, b) in reach for c in ids):
+            continue
+        job = inst.jobs[inst.job_index(b)]
+        first = min(
+            t for t in range(1, grid.T + 1) for s in inst.speedset.speeds
+            if grid.upper(t) >= (job.release + job.rho / s) * (1 - 1e-12)
+        )
+        kept += [(a, b, t) for t in range(first, grid.T)]
+    return kept
+
+
 def test_row_and_column_counts():
     inst = generate(3, 4, 2, GeneratorConfig(edge_density=0.5))
     grid = build_grid(inst)
     model = build_completion_lp(inst, grid)
     n, m, T = inst.n, inst.speedset.m, grid.T
-    p = len(inst.precedence.edges)
+    kept = _kept_prec_rows(inst, grid)
     assert model.ncols == n * m * T
-    assert len(model.rows) == n + T + p * T
-    assert sum(1 for r in model.rows if r.kind == "prec") == p * T
+    assert len(model.rows) == n + T + len(kept)
+    assert [r.key for r in model.rows if r.kind == "prec"] == kept
+
+
+@pytest.mark.parametrize("seed,density,release_max", [(1, 0.8, 0.0), (2, 1.0, 0.0), (3, 0.6, 5.0)])
+def test_only_non_implied_precedence_rows_are_built(seed, density, release_max):
+    inst = generate(seed, 7, 2, GeneratorConfig(edge_density=density, release_max=release_max))
+    grid = build_grid(inst)
+    model = build_lp(inst, grid)
+    prec = [r.key for r in model.rows if r.kind == "prec"]
+    assert prec == _kept_prec_rows(inst, grid)
+    assert len(prec) < len(inst.precedence.edges) * (grid.T - 1)
+
+
+REDUCED_PREC_CASES = {
+    "chain": (4, 8, 2, GeneratorConfig(edge_density=1.0)),
+    "dense": (5, 9, 3, GeneratorConfig(edge_density=0.8)),
+    "releases": (6, 8, 3, GeneratorConfig(edge_density=0.5, release_max=5.0)),
+    "tardiness": (7, 8, 3, GeneratorConfig(objective=Objective.TARDINESS, edge_density=0.6)),
+}
+
+
+@pytest.mark.parametrize("case", REDUCED_PREC_CASES)
+def test_reduced_lp_optimum_keeps_every_precedence_row(case):
+    # the reduced LP is a relaxation of the one with a row per edge and
+    # interval; its optimum meeting every one of those rows makes the optima equal
+    seed, n, m, cfg = REDUCED_PREC_CASES[case]
+    inst = generate(seed, n, m, cfg)
+    grid = build_grid(inst)
+    model = build_lp(inst, grid)
+    assert sum(r.kind == "prec" for r in model.rows) < len(inst.precedence.edges) * grid.T
+    prefix = np.cumsum(solve_lp(model).x.sum(axis=1), axis=1)   # (n, T): X_i(t)
+    pos = {job.id: i for i, job in enumerate(inst.jobs)}
+    for a, b in inst.precedence.edges:
+        assert np.all(prefix[pos[a]] >= prefix[pos[b]] - 1e-9), (a, b)
 
 
 def test_fixed_zero_columns_marked_not_deleted():
@@ -212,5 +273,7 @@ def test_lp_dump_contains_named_columns_and_rows():
     assert "x_1_1_1" in text
     assert "assign_1:" in text
     assert "capacity_1:" in text
-    assert "prec_1_2_1:" in text
+    # job 2 cannot finish in interval 1, so the first kept row is at t = 2
+    first_prec = next(line.strip() for line in text.splitlines() if "prec_" in line)
+    assert first_prec.startswith("prec_1_2_2:")
     assert "bounds" in text

@@ -18,6 +18,7 @@ from energysched.rounding import (
     PrecedenceOrderError,
     alpha_intervals,
     alpha_speed,
+    check_speed_range,
     compute_alpha_data,
     order_jobs,
     round_speed_down,
@@ -282,3 +283,28 @@ def test_saias_requires_matching_objective():
     grid, sol = run_pipeline(comp)
     with pytest.raises(ValueError):
         saias_t(comp, sol)
+
+
+def _one_tardy_job(speeds, delta):
+    return Instance(
+        jobs=(Job(1, 1, 1.0, deadline=0.1, energy=PolynomialEnergy(1.0, 2.0)),),
+        speedset=SpeedSet(speeds, delta),
+        objective=Objective.TARDINESS,
+        epsilon=0.5,
+    )
+
+
+def test_speed_range_check_boundary():
+    # gamma = (1 + 0.5) / (0.5 * 0.5) = 6
+    check_speed_range(_one_tardy_job((1.0, 6.0), 5.0), 0.5)
+    with pytest.raises(SpeedRangeError, match="gamma"):
+        check_speed_range(_one_tardy_job((1.0, 5.9), 5.0), 0.5)
+
+
+def test_narrow_speed_ladder_fails_before_the_lp(monkeypatch):
+    def unreachable(*args, **kwargs):
+        pytest.fail("the LP was built for a ladder SAIAS-T cannot round on")
+
+    monkeypatch.setattr(es.lp, "build_lp", unreachable)
+    with pytest.raises(SpeedRangeError, match="gamma"):
+        es.run(_one_tardy_job((1.0,), 1.0))

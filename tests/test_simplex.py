@@ -110,6 +110,67 @@ def test_iteration_limit_reported():
     assert res.status == "iteration_limit"
 
 
+def mixed_sense_lp(rng, nvars=4):
+    """A feasible LP whose slack start is infeasible on three of its rows.
+
+    Rows: ``<=`` with b < 0, ``>=`` with b > 0, ``=``, and ``<=`` with b >= 0;
+    all four hold at an interior point x0 of the box.
+    """
+    upper = rng.uniform(0.5, 2.0, nvars)
+    x0 = upper * rng.uniform(0.3, 0.9, nvars)
+    a = rng.uniform(0.1, 1.0, (4, nvars))
+    A = np.vstack([-a[0], a[1], rng.uniform(-1, 1, nvars), rng.uniform(-1, 1, nvars)])
+    ax = A @ x0
+    b = np.array([0.8 * ax[0], 0.8 * ax[1], ax[2], ax[3] + rng.uniform(0.0, 1.0)])
+    b[3] = max(b[3], 0.0)
+    c = rng.uniform(-2, 2, nvars)
+    return c, A, ["<=", ">=", "=", "<="], b, upper
+
+
+def as_le_rows(A, senses, b):
+    """The same rows as ``A x <= b`` only: ">=" negated, "=" as a pair."""
+    rows, rhs = [], []
+    for a, s, v in zip(A, senses, b):
+        if s in ("<=", "="):
+            rows.append(a)
+            rhs.append(v)
+        if s in (">=", "="):
+            rows.append(-a)
+            rhs.append(-v)
+    return np.array(rows), np.array(rhs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_infeasible_slack_start_matches_vertex_enumeration(seed):
+    rng = np.random.default_rng(1000 + seed)
+    c, A, senses, b, upper = mixed_sense_lp(rng)
+    assert b[0] < 0 < b[1]      # neither row's slack is feasible at x = 0
+    expected, _ = vertex_enum_min(c, *as_le_rows(A, senses, b), upper)
+    res = solve(c, A, senses, b, upper=upper)
+    assert res.status == "optimal"
+    assert res.phase1_iterations > 0
+    assert res.objective == pytest.approx(expected, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_feasible_slack_start_needs_no_phase_1(seed):
+    rng = np.random.default_rng(seed)
+    c, A, b, upper = random_box_lp(rng, nvars=6, nrows=5)
+    res = solve(c, A, ["<="] * len(b), b, upper=upper)
+    assert res.status == "optimal"
+    assert res.phase1_iterations == 0
+
+
+def test_mixed_sense_deterministic_bit_for_bit():
+    c, A, senses, b, upper = mixed_sense_lp(np.random.default_rng(7), nvars=6)
+    first = solve(c, A, senses, b, upper=upper)
+    second = solve(c, A, senses, b, upper=upper)
+    assert first.status == "optimal"
+    assert np.array_equal(first.x, second.x)
+    assert (first.phase1_iterations, first.phase2_iterations) == (
+        second.phase1_iterations, second.phase2_iterations)
+
+
 def _pipeline_model(seed, n, m, cfg):
     inst = generate(seed, n, m, cfg)
     return lp.build_lp(inst, timegrid.build_grid(inst))

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from energysched import Instance, Job, SpeedSet, build_grid, interval_of
-from energysched.instance import GeneratorConfig, generate
+from energysched import Instance, Job, SpeedSet, build_grid, interval_of, timegrid
+from energysched.instance import GeneratorConfig, generate, validate
 
 
 def make(jobs, speeds, epsilon, delta=1.0):
@@ -82,3 +84,20 @@ def test_interval_of_monotone():
     times = np.linspace(grid.kappa, grid.tau[-1], 200)
     vals = [interval_of(grid, t) for t in times]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.37, 1.0, 4.0])
+def test_interval_count_matches_built_grid(epsilon):
+    for seed in range(20):
+        cfg = GeneratorConfig(epsilon=epsilon, release_max=5.0 if seed % 2 else 0.0)
+        inst = generate(seed, 1 + seed % 9, 1 + seed % 4, cfg)
+        assert timegrid.interval_count(inst) == build_grid(inst).T
+
+
+def test_validate_rejects_a_grid_too_fine_to_build():
+    coarse = make([Job(1, 1, 1.0), Job(2, 3, 1.0)], [1.0, 2.0], epsilon=0.5)
+    assert validate(coarse) == []
+    fine = dataclasses.replace(coarse, epsilon=1e-17)
+    assert timegrid.interval_count(fine) > timegrid.MAX_INTERVALS
+    report = validate(fine)
+    assert len(report) == 1 and "epsilon = 1e-17" in report[0]
