@@ -37,7 +37,6 @@ from .lp import (
     build_completion_lp,
     build_tardiness_lp,
     lp_dump,
-    objective_lower_bound,
     solve_lp,
 )
 from .oracle import ExactResult, brute_force, dual_cost, special_case_order

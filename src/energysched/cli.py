@@ -1,9 +1,7 @@
 """Command-line surface: gen, solve, oracle, bench, lp-dump.
 
 All commands print machine-readable JSON on stdout (``--pretty`` for an
-indented human mode) and diagnostics on stderr.  Solver tolerances can be
-overridden via the ``ENERGYSCHED_FEAS_TOL`` and ``ENERGYSCHED_OPT_TOL``
-environment variables.
+indented human mode) and diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -19,26 +16,10 @@ import numpy as np
 from . import instance as instance_mod
 from . import lp, oracle, pipeline, timegrid
 from .instance import GeneratorConfig, Objective
-from .simplex import SolverConfig
-
-
-def _solver_config() -> SolverConfig:
-    return SolverConfig(
-        feasibility_tolerance=float(os.environ.get("ENERGYSCHED_FEAS_TOL", "1e-9")),
-        optimality_tolerance=float(os.environ.get("ENERGYSCHED_OPT_TOL", "1e-9")),
-    )
 
 
 def _emit(data: dict, pretty: bool) -> None:
     print(json.dumps(data, indent=2 if pretty else None, sort_keys=pretty))
-
-
-def _load(path) -> instance_mod.Instance:
-    inst = instance_mod.load(path)
-    report = instance_mod.validate(inst)
-    if report:
-        raise SystemExit("invalid instance: " + "; ".join(report))
-    return inst
 
 
 def _generator_config(args) -> GeneratorConfig:
@@ -81,29 +62,22 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = _load(args.instance)
+    inst = instance_mod.load(args.instance)
     if args.objective is not None:
         inst = dataclasses.replace(inst, objective=Objective(args.objective))
-    result = pipeline.run(
-        inst,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        solver_config=_solver_config(),
-        with_oracle=args.oracle,
-    )
-    _emit(pipeline.schedule_to_dict(result.instance, result), args.pretty)
+    result = pipeline.run(inst, alpha=args.alpha, epsilon=args.epsilon, with_oracle=args.oracle)
+    _emit(pipeline.schedule_to_dict(result), args.pretty)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    inst = _load(args.instance)
+    inst = instance_mod.load(args.instance)
     exact = oracle.brute_force(inst, n_cap=args.n_cap, m_cap=args.m_cap)
     _emit(
         {
             "cost": exact.cost,
             "order": list(exact.order),
             "speeds": {str(k): v for k, v in exact.speed.items()},
-            "method": exact.method,
         },
         args.pretty,
     )
@@ -112,32 +86,35 @@ def cmd_oracle(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _generator_config(args)
-    solver = _solver_config()
     rows = []
     for k in range(args.count):
         seed = args.seed + k
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, args.n + 1)) if args.vary_n else args.n
         inst = instance_mod.generate(seed, n, args.m, cfg)
-        result = pipeline.run(inst, solver_config=solver, with_oracle=args.oracle)
-        rows.append({"seed": seed, "n": n, "m": args.m, **result.report})
-    agg = {
-        "count": len(rows),
-        "max_ratio_vs_lp": max(r["ratio_vs_lp"] for r in rows),
-        "mean_ratio_vs_lp": sum(r["ratio_vs_lp"] for r in rows) / len(rows),
-    }
+        row = {"seed": seed, "n": n, "m": args.m}
+        try:
+            result = pipeline.run(inst, with_oracle=args.oracle)
+        except RuntimeError as exc:   # recorded; the rest of the batch still runs
+            rows.append({**row, "status": type(exc).__name__, "error": str(exc)})
+            continue
+        rows.append({**row, "status": "ok", "error": None, **result.report})
+    ok = [r for r in rows if r["status"] == "ok"]
+    agg = {"count": len(rows), "failed": len(rows) - len(ok)}
+    for key in ["ratio_vs_lp"] + (["ratio_vs_oracle"] if args.oracle else []):
+        values = [r[key] for r in ok]           # null when no instance succeeded
+        agg[f"max_{key}"] = max(values, default=None)
+        agg[f"mean_{key}"] = sum(values) / len(values) if values else None
     if args.oracle:
-        agg["max_ratio_vs_oracle"] = max(r["ratio_vs_oracle"] for r in rows)
-        agg["mean_ratio_vs_oracle"] = sum(r["ratio_vs_oracle"] for r in rows) / len(rows)
         agg["bound_violations"] = sum(
-            1 for r in rows if r["ratio_vs_oracle"] > r["theoretical_bound"] * (1 + 1e-9)
+            1 for r in ok if r["ratio_vs_oracle"] > r["theoretical_bound"] * (1 + 1e-9)
         )
     _emit({"instances": rows, "aggregate": agg}, args.pretty)
     return 0
 
 
 def cmd_lpdump(args) -> int:
-    inst = _load(args.instance)
+    inst = instance_mod.load(args.instance)
     grid = timegrid.build_grid(inst)
     model = lp.build_lp(inst, grid)
     text = lp.lp_dump(model)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import energy as energy_mod
+import numpy as np
+
 from .instance import Instance, Objective
 
 _TIME_TOL = 1e-9
@@ -39,9 +40,10 @@ def check_feasible(instance: Instance, schedule) -> list:
         if not any(abs(s - g) <= 1e-9 * g for g in speeds):
             report.append(f"job {jid}: speed {s} is not in the speed set")
 
+    by_id = {job.id: job for job in instance.jobs}
     prev_completion = 0.0
     for jid in schedule.order:
-        job = instance.jobs[instance.job_index(jid)]
+        job = by_id[jid]
         expected_start = max(job.release, prev_completion)
         if abs(schedule.start[jid] - expected_start) > _TIME_TOL:
             report.append(
@@ -72,11 +74,12 @@ def cost(instance: Instance, schedule) -> CostBreakdown:
     problems = check_feasible(instance, schedule)
     if problems:
         raise ValueError("infeasible schedule: " + "; ".join(problems))
+    speeds = np.asarray(instance.speedset.speeds)
     energy_total = 0.0
     scheduling_total = 0.0
-    for job in instance.jobs:
-        s = schedule.speed[job.id]
-        energy_total += energy_mod.cost_at(job.energy, job.rho, s, instance.speedset.speeds)
+    for job, costs in zip(instance.jobs, instance.energy_costs):
+        # the grid speed check_feasible matched: the nearest one
+        energy_total += float(costs[np.abs(speeds - schedule.speed[job.id]).argmin()])
         c = schedule.completion[job.id]
         if instance.objective is Objective.TARDINESS:
             scheduling_total += job.weight * max(c - job.deadline, 0.0)

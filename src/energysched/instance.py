@@ -11,6 +11,7 @@ Instances are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import EnergyCostDescriptor, PolynomialEnergy, TableEnergy
+from .energy import EnergyCostDescriptor, PolynomialEnergy, TableEnergy, convexify, cost_at
 
 
 class Objective(enum.Enum):
@@ -67,9 +68,6 @@ class PrecedenceDag:
 
     edges: tuple = ()
 
-    def successors(self, job_id: int):
-        return [b for a, b in self.edges if a == job_id]
-
     def predecessors(self, job_id: int):
         return [a for a, b in self.edges if b == job_id]
 
@@ -112,11 +110,21 @@ class Instance:
     def n(self) -> int:
         return len(self.jobs)
 
-    def job_index(self, job_id: int) -> int:
-        for k, job in enumerate(self.jobs):
-            if job.id == job_id:
-                return k
-        raise KeyError(f"no job with id {job_id}")
+    @functools.cached_property
+    def energy_costs(self) -> np.ndarray:
+        """Read-only (n, m) cost of running job i entirely at grid speed j.
+
+        Tabulated costs are read on their lower convex envelope.
+        """
+        speeds = self.speedset.speeds
+        costs = np.array([
+            convexify(job.energy.costs, speeds).values
+            if isinstance(job.energy, TableEnergy)
+            else [cost_at(job.energy, job.rho, s) for s in speeds]
+            for job in self.jobs
+        ], dtype=float)
+        costs.flags.writeable = False
+        return costs
 
     @property
     def has_releases(self) -> bool:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import energy as energy_mod
 from .instance import Instance, Objective
 from .timegrid import TimeGrid
 
@@ -96,7 +95,7 @@ class LpModel:
 @dataclass(frozen=True)
 class LpSolution:
     x: np.ndarray            # (n, m, T), all >= 0
-    objective: float
+    objective: float         # LP optimum: a lower bound on the optimal schedule cost
     phase1_iterations: int = 0   # simplex pivots and bound flips, per phase
     phase2_iterations: int = 0
 
@@ -110,13 +109,6 @@ class LpSolution:
         return np.einsum("ijt,t->i", self.x, lowers)
 
 
-def grid_energy_costs(job, speedset) -> np.ndarray:
-    """Energy cost of running the whole job at each grid speed."""
-    return np.array(
-        [energy_mod.cost_at(job.energy, job.rho, s, speedset.speeds) for s in speedset.speeds]
-    )
-
-
 def _build(instance: Instance, grid: TimeGrid, tardiness: bool) -> LpModel:
     n, m, T = instance.n, instance.speedset.m, grid.T
     index = VarIndex(n, m, T)
@@ -127,13 +119,12 @@ def _build(instance: Instance, grid: TimeGrid, tardiness: bool) -> LpModel:
     release = np.array([job.release for job in jobs])
     tau = np.array(grid.tau)
 
-    energy = np.array([grid_energy_costs(job, instance.speedset) for job in jobs])
     if tardiness:
         deadline = np.array([job.deadline for job in jobs])
         sched = weight[:, None] * np.maximum(tau[:-1] - deadline[:, None], 0.0)
     else:
         sched = weight[:, None] * tau[:-1]
-    obj = (energy[:, :, None] + sched[:, None, :]).ravel()
+    obj = (instance.energy_costs[:, :, None] + sched[:, None, :]).ravel()
 
     # a column is pinned when its interval ends before the job can finish
     load = rho[:, None] / speeds                                   # (n, m)
@@ -186,11 +177,6 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     return build_completion_lp(instance, grid)
 
 
-def objective_lower_bound(solution: LpSolution) -> float:
-    """LP optimum: a certified lower bound on the optimal schedule cost."""
-    return solution.objective
-
-
 def constraint_arrays(model: LpModel):
     """The rows as a dense matrix ``A``, a list of senses and a vector ``b``."""
     nrows = len(model.rows)
@@ -204,7 +190,7 @@ def constraint_arrays(model: LpModel):
     return A, senses, b
 
 
-def solve_lp(model: LpModel, config=None) -> LpSolution:
+def solve_lp(model: LpModel) -> LpSolution:
     """Solve the relaxation with the embedded simplex and certify feasibility."""
     from . import simplex
 
@@ -212,7 +198,6 @@ def solve_lp(model: LpModel, config=None) -> LpSolution:
     result = simplex.solve(
         model.objective, A, senses, b,
         lower=np.zeros(model.ncols), upper=model.upper.copy(),
-        config=config,
     )
     if result.status != "optimal":
         raise RuntimeError(f"LP solve failed with status {result.status!r}")

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, Objective
-from .lp import grid_energy_costs
 from .rounding import Schedule, assemble
+
+#: most speed combinations (m**n) ``brute_force`` allocates at once
+MAX_SPEED_COMBOS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,6 @@ class ExactResult:
     cost: float
     order: tuple
     speed: dict              # job id -> grid speed
-    method: str              # "brute_force" | "special_case_order"
 
     def schedule(self, instance: Instance) -> Schedule:
         return assemble(instance, self.order, self.speed)
@@ -62,11 +63,13 @@ def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResu
     n, m = instance.n, instance.speedset.m
     if n > n_cap or m > m_cap:
         raise SizeCapError(f"instance size n={n}, m={m} exceeds caps ({n_cap}, {m_cap})")
+    if m ** n > MAX_SPEED_COMBOS:
+        raise SizeCapError(f"{m}**{n} speed combinations exceed "
+                           f"MAX_SPEED_COMBOS = {MAX_SPEED_COMBOS}")
 
     sigma = np.asarray(instance.speedset.speeds)
     tardy = instance.objective is Objective.TARDINESS
-    by_id = {j.id: j for j in instance.jobs}
-    egrid = {j.id: grid_energy_costs(j, instance.speedset) for j in instance.jobs}
+    by_id = {j.id: (j, costs) for j, costs in zip(instance.jobs, instance.energy_costs)}
 
     # all m**n speed-index combinations, one row per combination
     combos = np.stack(
@@ -80,10 +83,10 @@ def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResu
         total = np.zeros(len(combos))
         completion = np.zeros(len(combos))
         for k, jid in enumerate(order):
-            job = by_id[jid]
+            job, costs = by_id[jid]
             jdx = combos[:, k]
             completion = np.maximum(completion, job.release) + job.rho / sigma[jdx]
-            total += egrid[jid][jdx]
+            total += costs[jdx]
             if tardy:
                 total += job.weight * np.maximum(completion - job.deadline, 0.0)
             else:
@@ -96,9 +99,7 @@ def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResu
 
     sched = assemble(instance, best_order, best_speeds)
     # shared evaluation path: the reported cost is evaluate.cost of the argmin
-    return ExactResult(
-        cost=sched.breakdown.total, order=best_order, speed=best_speeds, method="brute_force"
-    )
+    return ExactResult(cost=sched.breakdown.total, order=best_order, speed=best_speeds)
 
 
 def _xi(job, beta: float) -> float:

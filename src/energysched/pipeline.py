@@ -13,7 +13,6 @@ from . import energy as energy_mod
 from . import instance as instance_mod
 from . import lp, oracle, rounding, timegrid
 from .instance import Instance, Objective
-from .simplex import SolverConfig
 
 
 class AssumptionError(RuntimeError):
@@ -55,7 +54,6 @@ def run(
     instance: Instance,
     alpha: float | None = None,
     epsilon: float | None = None,
-    solver_config: SolverConfig | None = None,
     with_oracle: bool = False,
     oracle_caps: tuple = (7, 4),
 ) -> PipelineResult:
@@ -74,14 +72,14 @@ def run(
 
     grid = timegrid.build_grid(instance)
     model = lp.build_lp(instance, grid)
-    solution = lp.solve_lp(model, solver_config)
+    solution = lp.solve_lp(model)
 
     if instance.objective is Objective.TARDINESS:
         schedule = rounding.saias_t(instance, solution, alpha=a)
     else:
         schedule = rounding.saias(instance, solution, alpha=a)
 
-    lp_bound = lp.objective_lower_bound(solution)
+    lp_bound = solution.objective
     report = {
         "lp_bound": lp_bound,
         "algorithm_cost": schedule.cost,
@@ -102,10 +100,10 @@ def run(
     return PipelineResult(instance, grid, model, solution, schedule, report)
 
 
-def schedule_to_dict(instance: Instance, result: PipelineResult) -> dict:
+def schedule_to_dict(result: PipelineResult) -> dict:
     sched = result.schedule
     jobs = {}
-    for job in instance.jobs:
+    for job in result.instance.jobs:
         c = sched.completion[job.id]
         jobs[str(job.id)] = {
             "speed": sched.speed[job.id],

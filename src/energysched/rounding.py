@@ -47,7 +47,6 @@ class AlphaData:
     """Per-job rounding data derived from the LP solution."""
 
     interval: int            # alpha interval index (1-based)
-    mass_before: float       # LP mass strictly before the alpha interval
     x_trunc: np.ndarray      # (m, T) truncated mass, sums to alpha
     mu: np.ndarray           # (m,) pmf over speed indices
     speed: float             # alpha speed (harmonic mean under mu)
@@ -85,8 +84,9 @@ def alpha_intervals(solution: LpSolution, alpha: float) -> np.ndarray:
 def truncate(solution: LpSolution, alpha: float, taus: np.ndarray) -> np.ndarray:
     """Truncated mass: full before the alpha interval, clipped to total alpha.
 
-    At the alpha interval itself the remaining budget ``alpha - mass_before``
-    is filled across speeds in increasing speed-index order.
+    At the alpha interval itself the remaining budget, alpha minus the mass
+    before that interval, is filled across speeds in increasing speed-index
+    order.
     """
     x = solution.x
     n, m, T = x.shape
@@ -103,11 +103,6 @@ def truncate(solution: LpSolution, alpha: float, taus: np.ndarray) -> np.ndarray
     return xt
 
 
-def speed_pmf(x_trunc_i: np.ndarray, alpha: float) -> np.ndarray:
-    """Collapse time out of the truncated mass: pmf over speed indices."""
-    return x_trunc_i.sum(axis=1) / alpha
-
-
 def alpha_speed(mu: np.ndarray, speedset: SpeedSet) -> float:
     """Reciprocal of the expected reciprocal speed under ``mu``."""
     inv = float(np.dot(mu, 1.0 / np.asarray(speedset.speeds)))
@@ -119,11 +114,10 @@ def compute_alpha_data(solution: LpSolution, instance: Instance, alpha: float) -
     xt = truncate(solution, alpha, taus)
     out = []
     for i in range(instance.n):
-        mu = speed_pmf(xt[i], alpha)
+        mu = xt[i].sum(axis=1) / alpha        # time collapsed out: pmf over speeds
         out.append(
             AlphaData(
                 interval=int(taus[i]),
-                mass_before=float(solution.x[i, :, : taus[i] - 1].sum()),
                 x_trunc=xt[i],
                 mu=mu,
                 speed=alpha_speed(mu, instance.speedset),
@@ -227,10 +221,11 @@ def check_speed_range(instance: Instance, alpha: float) -> None:
 
 def assemble(instance: Instance, order, speed_by_id) -> Schedule:
     """Run jobs in order, each starting at max(release, previous completion)."""
+    by_id = {job.id: job for job in instance.jobs}
     start, completion = {}, {}
     prev = 0.0
     for jid in order:
-        job = instance.jobs[instance.job_index(jid)]
+        job = by_id[jid]
         start[jid] = max(job.release, prev)
         completion[jid] = start[jid] + job.rho / speed_by_id[jid]
         prev = completion[jid]
@@ -254,10 +249,8 @@ def saias(instance: Instance, solution: LpSolution, alpha: float | None = None) 
     order = order_jobs([d.interval for d in data], instance.precedence,
                        [j.id for j in instance.jobs])
     speed_by_id = {}
-    for job, d in zip(instance.jobs, data):
+    for job, d, costs in zip(instance.jobs, data, instance.energy_costs):
         if isinstance(job.energy, energy_mod.TableEnergy):
-            from .lp import grid_energy_costs
-            costs = grid_energy_costs(job, instance.speedset)
             speed_by_id[job.id] = round_speed_energy_aware(d.speed, instance.speedset, costs)
         else:
             speed_by_id[job.id] = round_speed_down(d.speed, instance.speedset)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from energysched import cli, lp, timegrid
+from energysched import cli, lp, oracle, timegrid
 from energysched.energy import PolynomialEnergy, TableEnergy
 from energysched.instance import (
     GeneratorConfig,
@@ -105,6 +105,45 @@ def test_bench_deterministic_and_bound_clean(capsys):
     assert data["aggregate"]["count"] == 6
     assert data["aggregate"]["bound_violations"] == 0
     assert data["aggregate"]["max_ratio_vs_oracle"] >= 1.0 - 1e-9
+
+
+def test_bench_records_failed_instances_and_goes_on(capsys):
+    rc, out, _ = run_cli(capsys, "bench", "--objective", "tardiness", "--count", "20",
+                         "--n", "5", "--m", "4", "--delta", "1.5")
+    assert rc == 0
+    data = json.loads(out)
+    rows, agg = data["instances"], data["aggregate"]
+    ok = [r for r in rows if r["status"] == "ok"]
+    failed = [r for r in rows if r["status"] != "ok"]
+    assert ok and failed
+    assert all(r["error"] is None for r in ok)
+    assert {r["status"] for r in failed} == {"SpeedRangeError"}
+    assert all(r["error"] and "ratio_vs_lp" not in r for r in failed)
+    assert agg["count"] == 20 and agg["failed"] == len(failed)
+    ratios = [r["ratio_vs_lp"] for r in ok]
+    assert agg["max_ratio_vs_lp"] == max(ratios)
+    assert agg["mean_ratio_vs_lp"] == sum(ratios) / len(ratios)
+
+
+def test_bench_aggregates_are_null_when_every_instance_fails(capsys):
+    rc, out, _ = run_cli(capsys, "bench", "--objective", "tardiness", "--count", "2",
+                         "--n", "3", "--m", "1", "--oracle")
+    assert rc == 0
+    agg = json.loads(out)["aggregate"]
+    assert agg["failed"] == 2
+    assert agg["max_ratio_vs_lp"] is None and agg["mean_ratio_vs_oracle"] is None
+    assert agg["bound_violations"] == 0
+
+
+def test_oracle_speed_combination_cap_exit_code(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.json"
+    save(generate(0, 5, 3, GeneratorConfig()), path)      # 3**5 = 243 combinations
+    monkeypatch.setattr(oracle, "MAX_SPEED_COMBOS", 100)
+    monkeypatch.setattr(np, "meshgrid",
+                        lambda *a, **k: pytest.fail("the speed combinations were allocated"))
+    rc, _, err = run_cli(capsys, "oracle", str(path), "--n-cap", "12", "--m-cap", "6")
+    assert rc == 2
+    assert "MAX_SPEED_COMBOS" in err
 
 
 def test_lp_dump_to_file(inst_path, tmp_path, capsys):

@@ -118,3 +118,23 @@ def test_quantize_output_validates_as_speedset(delta):
     ss = quantize_speed_range(0.7, 5.0, delta)
     inst = Instance(jobs=(Job(1, 1, 1.0),), speedset=ss)
     assert validate(inst) == []
+
+
+@pytest.mark.parametrize(
+    "speeds, energies",
+    [
+        # a polynomial job and a table job whose middle entry spikes above the chord
+        ((1.0, 1.5, 2.25), (PolynomialEnergy(1.3, 3.0), TableEnergy((1.0, 9.0, 2.0)))),
+        ((2.0,), (TableEnergy((7.0,)), PolynomialEnergy(0.5, 2.0))),
+    ],
+)
+def test_instance_energy_costs_match_cost_at_bit_for_bit(speeds, energies):
+    jobs = tuple(Job(i, 3, 1.0, energy=e) for i, e in enumerate(energies, start=1))
+    inst = Instance(jobs=jobs, speedset=SpeedSet(speeds, 0.5))
+    costs = inst.energy_costs
+    assert costs.shape == (len(jobs), len(speeds))
+    for i, job in enumerate(jobs):
+        for j, s in enumerate(speeds):
+            assert costs[i, j] == cost_at(job.energy, job.rho, s, speeds)
+    assert inst.energy_costs is costs           # computed once per instance
+    assert not costs.flags.writeable

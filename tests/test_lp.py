@@ -69,7 +69,7 @@ def _kept_prec_rows(inst, grid):
     for a, b in dict.fromkeys(inst.precedence.edges):
         if any((a, c) in edges and (c, b) in reach for c in ids):
             continue
-        job = inst.jobs[inst.job_index(b)]
+        job = next(j for j in inst.jobs if j.id == b)
         first = min(
             t for t in range(1, grid.T + 1) for s in inst.speedset.speeds
             if grid.upper(t) >= (job.release + job.rho / s) * (1 - 1e-12)
@@ -167,8 +167,8 @@ def test_huge_deadline_zeroes_tardiness_terms():
     grid = build_grid(inst)
     model = build_tardiness_lp(inst, grid)
     for i, job in enumerate(inst.jobs):
-        from energysched.lp import grid_energy_costs
-        e = grid_energy_costs(job, inst.speedset)
+        speeds = inst.speedset.speeds
+        e = [es.cost_at(job.energy, job.rho, s, speeds) for s in speeds]
         for j in range(inst.speedset.m):
             for t in range(1, grid.T + 1):
                 assert model.objective[model.index.col(i, j, t)] == pytest.approx(e[j])

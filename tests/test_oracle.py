@@ -14,6 +14,7 @@ from energysched import (
     special_case_order,
 )
 from energysched.instance import GeneratorConfig, generate
+from energysched import oracle
 from energysched.oracle import SizeCapError, _feasible_permutations
 
 
@@ -57,6 +58,24 @@ def test_size_cap():
     inst = generate(0, 5, 2, GeneratorConfig())
     with pytest.raises(SizeCapError):
         brute_force(inst, n_cap=4)
+
+
+def _no_meshgrid(*args, **kwargs):
+    raise AssertionError("the speed combinations were allocated")
+
+
+def test_speed_combination_cap_raises_before_allocating(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_SPEED_COMBOS", 2 ** 4)
+    monkeypatch.setattr(np, "meshgrid", _no_meshgrid)
+    inst = generate(0, 5, 2, GeneratorConfig())            # 2**5 = 32 combinations
+    with pytest.raises(SizeCapError, match="MAX_SPEED_COMBOS"):
+        brute_force(inst, n_cap=12, m_cap=6)
+
+
+def test_speed_combination_cap_admits_its_own_value(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_SPEED_COMBOS", 2 ** 4)
+    inst = generate(0, 4, 2, GeneratorConfig())            # 2**4 = 16 combinations
+    assert brute_force(inst, n_cap=12, m_cap=6).cost > 0
 
 
 def test_dual_cost_single_job_closed_form():
