@@ -8,7 +8,6 @@ oracles verify the ratios on small instances.
 """
 
 from .energy import (
-    ConvexEnvelope,
     PolynomialEnergy,
     TableEnergy,
     check_assumption1,
@@ -16,7 +15,7 @@ from .energy import (
     cost_at,
     quantize_speed_range,
 )
-from .evaluate import CostBreakdown, check_feasible, cost
+from .evaluate import check_feasible, cost
 from .instance import (
     GeneratorConfig,
     Instance,
@@ -32,29 +31,15 @@ from .instance import (
 )
 from .lp import (
     InfeasibleHorizonError,
-    LpModel,
-    LpSolution,
     build_completion_lp,
     build_tardiness_lp,
     lp_dump,
     solve_lp,
 )
-from .oracle import ExactResult, brute_force, dual_cost, special_case_order
-from .pipeline import PipelineResult, run, theoretical_bound
-from .rounding import (
-    AlphaData,
-    Schedule,
-    SpeedRangeError,
-    alpha_intervals,
-    alpha_speed,
-    round_speed_down,
-    round_speed_energy_aware,
-    round_speed_up,
-    saias,
-    saias_t,
-    truncate,
-)
+from .oracle import brute_force, dual_cost, special_case_order
+from .pipeline import run, theoretical_bound
+from .rounding import SpeedRangeError, saias
 from .simplex import SolveResult, SolverConfig, solve
-from .timegrid import TimeGrid, build_grid, interval_of
+from .timegrid import build_grid
 
 __version__ = "0.1.0"

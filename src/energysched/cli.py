@@ -95,7 +95,7 @@ def cmd_bench(args) -> int:
         row = {"seed": seed, "n": n, "m": args.m}
         try:
             result = pipeline.run(inst, with_oracle=args.oracle)
-        except RuntimeError as exc:   # recorded; the rest of the batch still runs
+        except (RuntimeError, oracle.SizeCapError) as exc:   # recorded; the batch goes on
             rows.append({**row, "status": type(exc).__name__, "error": str(exc)})
             continue
         rows.append({**row, "status": "ok", "error": None, **result.report})

@@ -1,9 +1,20 @@
 """Exact optima for small instances.
 
-``brute_force`` enumerates every precedence-feasible processing order and,
-for each, every assignment of grid speeds (vectorized over the speed
-combinations), returning the exact minimum-cost schedule.  It is the ground
-truth the approximation ratios are measured against.
+``brute_force`` returns the exact minimum-cost schedule over every
+precedence-feasible order and every assignment of grid speeds, the ground
+truth the approximation ratios are measured against.  It walks the tree of
+order prefixes depth first, children in sorted-id order.  A node holds the
+cost and completion time of each live speed combination of its prefix; a
+child broadcasts them against its job's m speeds (first position most
+significant) with the floating-point operations of a full enumeration, in
+the same order, so each leaf value is bit-identical to it.  A combination
+dies when its cost plus a bound on the unplaced jobs (each: its cheapest
+energy plus weight times the completion, or tardiness, at ``max(c, release)
++ rho / fastest speed``), shrunk by a relative 1e-9 against rounding, reaches
+the best leaf so far; the bound holds only for non-negative terms and is
+skipped otherwise.  Masks keep the enumeration order, so the winner is the
+enumeration's: the first order with a strictly lower minimum, and in it the
+lowest combination index.
 
 ``dual_cost`` / ``special_case_order`` cover the continuous-speed special
 cases without precedence or releases: with equal weights, or with equal
@@ -13,6 +24,7 @@ provably optimal, which the tests verify exhaustively.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +33,7 @@ import numpy as np
 from .instance import Instance, Objective
 from .rounding import Schedule, assemble
 
-#: most speed combinations (m**n) ``brute_force`` allocates at once
+#: most speed combinations (m**n) ``brute_force`` may enumerate per order
 MAX_SPEED_COMBOS = 2 ** 20
 
 
@@ -43,19 +55,15 @@ def _feasible_permutations(ids, precedence):
     """Generate precedence-feasible permutations, pruning during generation."""
     preds = {i: set(precedence.predecessors(i)) for i in ids}
 
-    def rec(placed, remaining):
-        if not remaining:
-            yield tuple(placed)
-            return
-        for i in sorted(remaining):
-            if preds[i] <= set(placed):
-                placed.append(i)
-                remaining.remove(i)
-                yield from rec(placed, remaining)
-                remaining.add(i)
-                placed.pop()
+    def rec(placed):
+        rest = sorted(set(ids) - set(placed))
+        if not rest:
+            yield placed
+        for i in rest:
+            if preds[i].issubset(placed):
+                yield from rec(placed + (i,))
 
-    yield from rec([], set(ids))
+    return rec(())
 
 
 def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResult:
@@ -69,34 +77,54 @@ def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResu
 
     sigma = np.asarray(instance.speedset.speeds)
     tardy = instance.objective is Objective.TARDINESS
-    by_id = {j.id: (j, costs) for j, costs in zip(instance.jobs, instance.energy_costs)}
+    rank = sorted(range(n), key=lambda k: instance.jobs[k].id)   # position -> job
+    jobs, costs = [instance.jobs[k] for k in rank], instance.energy_costs[rank]
+    pos = {job.id: k for k, job in enumerate(jobs)}
+    preds = [{pos[a] for a in instance.precedence.predecessors(job.id)} for job in jobs]
+    proc = [job.rho / sigma for job in jobs]
+    release, deadline, weight = (np.array([getattr(j, f) for j in jobs], dtype=float)
+                                 for f in ("release", "deadline", "weight"))
+    fastest, cheapest = np.array([p[-1] for p in proc]), costs.min(axis=1)
+    prune = bool((costs >= 0).all() and (weight >= 0).all())
+    best = [math.inf, (), 0]                     # cost, order, combination index
 
-    # all m**n speed-index combinations, one row per combination
-    combos = np.stack(
-        np.meshgrid(*[np.arange(m)] * n, indexing="ij"), axis=-1
-    ).reshape(-1, n)
+    @functools.cache
+    def bound_terms(rest):
+        rest = list(rest)
+        return release[rest], fastest[rest], deadline[rest], weight[rest], cheapest[rest].sum()
 
-    best = math.inf
-    best_order = None
-    best_speeds = None
-    for order in _feasible_permutations([j.id for j in instance.jobs], instance.precedence):
-        total = np.zeros(len(combos))
-        completion = np.zeros(len(combos))
-        for k, jid in enumerate(order):
-            job, costs = by_id[jid]
-            jdx = combos[:, k]
-            completion = np.maximum(completion, job.release) + job.rho / sigma[jdx]
-            total += costs[jdx]
-            if tardy:
-                total += job.weight * np.maximum(completion - job.deadline, 0.0)
-            else:
-                total += job.weight * completion
-        k_best = int(np.argmin(total))
-        if total[k_best] < best:
-            best = float(total[k_best])
-            best_order = order
-            best_speeds = {jid: float(sigma[combos[k_best, k]]) for k, jid in enumerate(order)}
+    def lower_bound(completion, rest):
+        r, p, d, w, e = bound_terms(rest)
+        c = np.maximum(completion[:, None], r) + p
+        return (np.maximum(c - d, 0.0) if tardy else c) @ w + e
 
+    def visit(order, index, completion, total):
+        rest = tuple(k for k in range(n) if k not in order)
+        if not rest:
+            k = int(np.argmin(total))
+            if total[k] < best[0]:
+                best[:] = float(total[k]), order, int(index[k])
+        for k in rest:
+            if not preds[k].issubset(order):
+                continue
+            job = jobs[k]
+            c = (np.maximum(completion, job.release)[:, None] + proc[k]).ravel()
+            t = (total[:, None] + costs[k]).ravel()
+            t += job.weight * (np.maximum(c - job.deadline, 0.0) if tardy else c)
+            i = (index[:, None] * m + np.arange(m)).ravel()
+            left = tuple(r for r in rest if r != k)
+            if prune and left and best[0] < math.inf:
+                keep = t + lower_bound(c, left) < best[0] * (1 + 1e-9)
+                if not keep.any():
+                    continue
+                c, t, i = c[keep], t[keep], i[keep]
+            visit(order + (k,), i, c, t)
+
+    visit((), np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1))
+    _, order, index = best
+    best_order = tuple(jobs[k].id for k in order)
+    digits = np.unravel_index(index, (m,) * n)   # speed index per position
+    best_speeds = {jobs[k].id: float(sigma[s]) for k, s in zip(order, digits)}
     sched = assemble(instance, best_order, best_speeds)
     # shared evaluation path: the reported cost is evaluate.cost of the argmin
     return ExactResult(cost=sched.breakdown.total, order=best_order, speed=best_speeds)

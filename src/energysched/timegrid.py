@@ -11,7 +11,6 @@ release.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .instance import Instance
@@ -70,16 +69,3 @@ def build_grid(instance: Instance) -> TimeGrid:
     while tau[-1] < horizon * (1 - 1e-15):
         tau.append(tau[-1] * (1 + instance.epsilon))
     return TimeGrid(kappa=kappa, tau=tuple(tau), epsilon=instance.epsilon)
-
-
-def interval_of(grid: TimeGrid, time: float) -> int:
-    """Index t of the interval containing ``time``; ``time == kappa`` maps to 1."""
-    if time < grid.kappa * (1 - 1e-12) or time > grid.tau[-1] * (1 + 1e-12):
-        raise ValueError(
-            f"time {time} outside grid range [{grid.kappa}, {grid.tau[-1]}]"
-        )
-    if time <= grid.kappa:
-        return 1
-    # smallest t >= 2 with time <= tau[t]
-    t = bisect_left(grid.tau, time, lo=2)
-    return min(t, grid.T)

@@ -1,6 +1,7 @@
-"""Shared test utilities: independent oracles and batch runners."""
+"""Shared test utilities: independent oracles, reference implementations, grid lookup."""
 
 import itertools
+from bisect import bisect_left
 
 import numpy as np
 
@@ -51,3 +52,60 @@ def random_box_lp(rng, nvars=4, nrows=4):
     b = rng.uniform(0.5, 3.0, nrows)     # x = 0 always feasible
     upper = rng.uniform(0.5, 2.0, nvars)
     return c, A, b, upper
+
+
+def reference_brute_force(instance):
+    """The full enumeration ``oracle.brute_force`` must agree with bit for bit.
+
+    Every precedence-feasible order times every one of the m**n speed
+    combinations (``meshgrid`` order, first position most significant); the
+    winner is the first order with a strictly lower minimum and, within it,
+    the lowest combination index.  Returns (cost, order, speed) as
+    ``brute_force`` does.
+    """
+    from energysched.instance import Objective
+    from energysched.oracle import _feasible_permutations
+    from energysched.rounding import assemble
+
+    n, m = instance.n, instance.speedset.m
+    sigma = np.asarray(instance.speedset.speeds)
+    tardy = instance.objective is Objective.TARDINESS
+    by_id = {j.id: (j, costs) for j, costs in zip(instance.jobs, instance.energy_costs)}
+    combos = np.stack(
+        np.meshgrid(*[np.arange(m)] * n, indexing="ij"), axis=-1
+    ).reshape(-1, n)
+
+    best = np.inf
+    best_order = best_speeds = None
+    for order in _feasible_permutations([j.id for j in instance.jobs], instance.precedence):
+        total = np.zeros(len(combos))
+        completion = np.zeros(len(combos))
+        for k, jid in enumerate(order):
+            job, costs = by_id[jid]
+            jdx = combos[:, k]
+            completion = np.maximum(completion, job.release) + job.rho / sigma[jdx]
+            total += costs[jdx]
+            if tardy:
+                total += job.weight * np.maximum(completion - job.deadline, 0.0)
+            else:
+                total += job.weight * completion
+        k_best = int(np.argmin(total))
+        if total[k_best] < best:
+            best = float(total[k_best])
+            best_order = order
+            best_speeds = {jid: float(sigma[combos[k_best, k]]) for k, jid in enumerate(order)}
+    cost = assemble(instance, best_order, best_speeds).breakdown.total
+    return cost, best_order, best_speeds
+
+
+def interval_of(grid, time: float) -> int:
+    """Index t of the interval containing ``time``; ``time == kappa`` maps to 1."""
+    if time < grid.kappa * (1 - 1e-12) or time > grid.tau[-1] * (1 + 1e-12):
+        raise ValueError(
+            f"time {time} outside grid range [{grid.kappa}, {grid.tau[-1]}]"
+        )
+    if time <= grid.kappa:
+        return 1
+    # smallest t >= 2 with time <= tau[t]
+    t = bisect_left(grid.tau, time, lo=2)
+    return min(t, grid.T)

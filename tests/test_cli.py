@@ -135,12 +135,38 @@ def test_bench_aggregates_are_null_when_every_instance_fails(capsys):
     assert agg["bound_violations"] == 0
 
 
+def test_bench_oracle_records_size_cap_errors(capsys):
+    rc, out, _ = run_cli(capsys, "bench", "--count", "2", "--n", "8", "--m", "2", "--oracle")
+    assert rc == 0
+    data = json.loads(out)
+    assert [r["status"] for r in data["instances"]] == ["SizeCapError"] * 2
+    assert all("exceeds caps" in r["error"] for r in data["instances"])
+    agg = data["aggregate"]
+    assert agg["failed"] == 2
+    assert agg["max_ratio_vs_lp"] is None and agg["mean_ratio_vs_lp"] is None
+    assert agg["max_ratio_vs_oracle"] is None and agg["mean_ratio_vs_oracle"] is None
+
+
+def test_bench_oracle_fails_only_the_oversize_rows(capsys):
+    rc, out, _ = run_cli(capsys, "bench", "--seed", "3", "--count", "6", "--n", "9",
+                         "--m", "2", "--vary-n", "--oracle")
+    assert rc == 0
+    data = json.loads(out)
+    rows = data["instances"]
+    assert {r["n"] > 7 for r in rows} == {True, False}
+    for r in rows:
+        assert r["status"] == ("SizeCapError" if r["n"] > 7 else "ok")
+    ok = [r for r in rows if r["status"] == "ok"]
+    assert data["aggregate"]["failed"] == len(rows) - len(ok)
+    assert data["aggregate"]["max_ratio_vs_oracle"] == max(r["ratio_vs_oracle"] for r in ok)
+
+
 def test_oracle_speed_combination_cap_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "inst.json"
     save(generate(0, 5, 3, GeneratorConfig()), path)      # 3**5 = 243 combinations
     monkeypatch.setattr(oracle, "MAX_SPEED_COMBOS", 100)
-    monkeypatch.setattr(np, "meshgrid",
-                        lambda *a, **k: pytest.fail("the speed combinations were allocated"))
+    monkeypatch.setattr(Instance, "energy_costs",
+                        property(lambda self: pytest.fail("the search read the energy costs")))
     rc, _, err = run_cli(capsys, "oracle", str(path), "--n-cap", "12", "--m-cap", "6")
     assert rc == 2
     assert "MAX_SPEED_COMBOS" in err

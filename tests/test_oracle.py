@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from energysched import (
     Instance,
     Job,
+    Objective,
     PolynomialEnergy,
     PrecedenceDag,
     SpeedSet,
@@ -13,9 +15,11 @@ from energysched import (
     dual_cost,
     special_case_order,
 )
+from energysched.energy import TableEnergy
 from energysched.instance import GeneratorConfig, generate
 from energysched import oracle
 from energysched.oracle import SizeCapError, _feasible_permutations
+from helpers import reference_brute_force
 
 
 def test_single_job_two_speeds_by_hand():
@@ -60,13 +64,13 @@ def test_size_cap():
         brute_force(inst, n_cap=4)
 
 
-def _no_meshgrid(*args, **kwargs):
-    raise AssertionError("the speed combinations were allocated")
+def _no_search(instance):
+    raise AssertionError("the search read the energy costs")
 
 
 def test_speed_combination_cap_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_SPEED_COMBOS", 2 ** 4)
-    monkeypatch.setattr(np, "meshgrid", _no_meshgrid)
+    monkeypatch.setattr(Instance, "energy_costs", property(_no_search))
     inst = generate(0, 5, 2, GeneratorConfig())            # 2**5 = 32 combinations
     with pytest.raises(SizeCapError, match="MAX_SPEED_COMBOS"):
         brute_force(inst, n_cap=12, m_cap=6)
@@ -159,3 +163,71 @@ def test_brute_force_dominates_lp_bound():
         grid = es.build_grid(inst)
         sol = es.solve_lp(es.build_completion_lp(inst, grid))
         assert es.brute_force(inst).cost >= sol.objective - 1e-6 * max(1, sol.objective)
+
+
+def _assert_matches_reference(inst, label):
+    res = brute_force(inst, n_cap=12, m_cap=6)
+    cost, order, speed = reference_brute_force(inst)
+    assert res.cost == cost, label               # bit for bit, no tolerance
+    assert res.order == order, label
+    assert list(res.speed.items()) == list(speed.items()), label
+
+
+_TARDY = dict(objective=Objective.TARDINESS, delta=3.0)
+
+# (family, GeneratorConfig fields, n for the k-th seed, m, seeds)
+_DIFFERENTIAL = [
+    ("completion", dict(edge_density=0.3), lambda k: 2 + k % 5, 3, range(30)),
+    ("releases", dict(edge_density=0.0, release_max=5.0), lambda k: 2 + k % 5, 3, range(30)),
+    ("releases-prec", dict(edge_density=0.3, release_max=3.0), lambda k: 3 + k % 3, 3, range(15)),
+    ("density-0", dict(edge_density=0.0), lambda k: 2 + k % 4, 3, range(15)),
+    ("chain", dict(edge_density=1.0), lambda k: 2 + k % 5, 3, range(15)),
+    ("tardiness-m6", dict(edge_density=0.3, **_TARDY), lambda k: 2 + k % 4, 6, range(30)),
+    ("tardiness-dense", dict(edge_density=0.0, deadline_max=4.0, **_TARDY),
+     lambda k: 3 + k % 3, 4, range(15)),
+    ("table", dict(edge_density=0.3, energy_kind="table"), lambda k: 2 + k % 5, 3, range(30)),
+    ("table-tardiness", dict(energy_kind="table", **_TARDY), lambda k: 2 + k % 4, 4, range(15)),
+    ("n1", dict(edge_density=0.0, release_max=2.0), lambda k: 1, 4, range(8)),
+    ("m1", dict(edge_density=0.3), lambda k: 1 + k % 6, 1, range(8)),
+]
+
+
+@pytest.mark.parametrize("family, fields, n_of, m, seeds", _DIFFERENTIAL,
+                         ids=[case[0] for case in _DIFFERENTIAL])
+def test_brute_force_is_bit_identical_to_full_enumeration(family, fields, n_of, m, seeds):
+    cfg = GeneratorConfig(**fields)
+    for k in seeds:
+        inst = generate(1000 + k, n_of(k), m, cfg)
+        _assert_matches_reference(inst, (family, k))
+
+
+def _identical_jobs(objective, ids, deadline=0.0):
+    # speeds 1 and 2 cost 1 and 2; a job takes 2 at speed 1 and 1 at speed 2
+    job = dict(rho=2, weight=2.0, deadline=deadline, energy=TableEnergy((1.0, 2.0)))
+    return Instance(
+        jobs=tuple(Job(id=i, **job) for i in ids),
+        speedset=SpeedSet((1.0, 2.0), 1.0),
+        objective=objective,
+    )
+
+
+def test_ties_between_orders_and_combinations_break_as_enumerated():
+    # deadline 3: (slow, fast) and (fast, slow) both cost 3, the least, in
+    # either order; the first order and the lowest combination index win
+    inst = _identical_jobs(Objective.TARDINESS, (2, 1), deadline=3.0)
+    _assert_matches_reference(inst, "tardiness ties")
+    res = brute_force(inst)
+    assert res.cost == 3.0
+    assert res.order == (1, 2)
+    assert list(res.speed.items()) == [(1, 1.0), (2, 2.0)]
+    inst = _identical_jobs(Objective.COMPLETION_TIME, (3, 1, 2))
+    _assert_matches_reference(inst, "completion ties")
+    assert brute_force(inst).order == (1, 2, 3)
+
+
+def test_negative_weight_is_searched_without_pruning():
+    # the bound is only valid for non-negative terms; a negative weight turns it off
+    inst = generate(3, 5, 3, GeneratorConfig(edge_density=0.2))
+    jobs = list(inst.jobs)
+    jobs[2] = dataclasses.replace(jobs[2], weight=-1.5)
+    _assert_matches_reference(dataclasses.replace(inst, jobs=tuple(jobs)), "negative weight")

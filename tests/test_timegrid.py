@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from energysched import Instance, Job, SpeedSet, build_grid, interval_of, timegrid
+from energysched import Instance, Job, SpeedSet, build_grid, timegrid
 from energysched.instance import GeneratorConfig, generate, validate
+from helpers import interval_of
 
 
 def make(jobs, speeds, epsilon, delta=1.0):
