@@ -27,6 +27,23 @@ feasible region is that of the row for every edge and every t:
   row, since the bounds force ``X_b(t) = 0 <= X_a(t)``.
 
 Rounding and evaluation still enforce the full edge set.
+
+:func:`solve_lp` starts the simplex at the vertex of a greedy list schedule
+(:func:`start_basis`): job i runs at a grid speed with load ``p_i``, completes
+at ``C_i``, and sits at ``x_{i,j_i,t_i} = 1`` with t_i the first interval whose
+end is at least C_i (capped at T).  That point is feasible:
+
+* the jobs with t_i <= t complete by ``tau_t`` and run one after another
+  from time 0 on, so their loads sum to at most ``tau_t``: capacity row t holds;
+* a predecessor completes before its successor, so ``t_a <= t_b`` and
+  ``X_a(t) >= X_b(t)`` at every t;
+* ``C_i >= r_i + p_i``, so the column is not pinned; and the largest C_i is
+  at most the grid's horizon ``max_i r_i + sum_i rho_i / sigma_1``, so T is
+  reached only up to rounding.
+
+Its basis, the start column on each assign row and the slack on every other
+row, is triangular and so non-singular; the point is therefore a vertex, and
+the simplex needs no phase 1.
 """
 
 from __future__ import annotations
@@ -148,11 +165,12 @@ def _build(instance: Instance, grid: TimeGrid, tardiness: bool) -> LpModel:
 
     first = job_free.argmax(axis=1) + 1     # first interval with an unpinned column
     pos = {job.id: i for i, job in enumerate(jobs)}
+    signs = np.tile([1.0, -1.0], m * T)      # every prec row's values are a prefix of it
+    signs.flags.writeable = False
     for a, b in instance.precedence.transitive_reduction():
-        ia, ib = pos[a], pos[b]
-        for t in range(first[ib], T):
-            cols = np.stack([block[ia, :, :t], block[ib, :, :t]], axis=-1).ravel()
-            rows.append(Row("prec", (a, b, t), cols, np.tile([1.0, -1.0], m * t), ">=", 0.0))
+        pair = np.stack([block[pos[a]], block[pos[b]]], axis=-1)   # (m, T, 2)
+        for t in range(first[pos[b]], T):
+            rows.append(Row("prec", (a, b, t), pair[:, :t].ravel(), signs[: 2 * m * t], ">=", 0.0))
 
     return LpModel(instance, grid, index, obj, upper, tuple(rows))
 
@@ -179,15 +197,61 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
 
 def constraint_arrays(model: LpModel):
     """The rows as a dense matrix ``A``, a list of senses and a vector ``b``."""
-    nrows = len(model.rows)
-    A = np.zeros((nrows, model.ncols))
-    b = np.zeros(nrows)
-    senses = []
-    for k, row in enumerate(model.rows):
-        A[k, row.cols] += row.vals
-        b[k] = row.rhs
-        senses.append(row.sense)
-    return A, senses, b
+    rows = model.rows
+    A = np.zeros((len(rows), model.ncols))
+    at_row = np.repeat(np.arange(len(rows)), [len(row.cols) for row in rows])
+    A[at_row, np.concatenate([row.cols for row in rows])] = np.concatenate([row.vals for row in rows])
+    b = np.array([row.rhs for row in rows], dtype=float)
+    return A, [row.sense for row in rows], b
+
+
+def start_basis(model: LpModel) -> np.ndarray:
+    """The simplex start at the vertex of a greedy list schedule.
+
+    Jobs run back to back in a precedence-feasible order, each at the speed
+    index ``j_i`` minimising its energy plus the total weight times its load,
+    and start at ``max(release, previous completion)``.  Completion-time LPs
+    take the largest weight-to-load ratio first (Smith's rule), tardiness
+    LPs the earliest deadline; ties go to the lowest position.  Returns, per
+    row, the column basic on it: ``(i, j_i, t_i)`` on assign row i, with t_i
+    the first interval whose end ``tau_t`` is at least the completion time
+    (at most T), and -1 (the row's slack) on every other row.
+    """
+    instance, grid = model.instance, model.grid
+    jobs, n = instance.jobs, instance.n
+    speeds = np.array(instance.speedset.speeds)
+    rho = np.array([job.rho for job in jobs], dtype=float)
+    weight = np.array([job.weight for job in jobs], dtype=float)
+    load = rho[:, None] / speeds
+    speed = np.argmin(instance.energy_costs + weight.sum() * load, axis=1)
+    p = load[np.arange(n), speed]
+    if instance.objective is Objective.TARDINESS:
+        key = [job.deadline for job in jobs]
+    else:
+        key = (-weight / p).tolist()
+
+    pos = {job.id: i for i, job in enumerate(jobs)}
+    waiting = [0] * n                       # unplaced predecessors per job
+    succ = [[] for _ in range(n)]
+    for a, b in dict.fromkeys(instance.precedence.edges):
+        waiting[pos[b]] += 1
+        succ[pos[a]].append(pos[b])
+    ready = [i for i in range(n) if waiting[i] == 0]
+    completion = np.zeros(n)
+    prev = 0.0
+    while ready:
+        i = min(ready, key=lambda k: (key[k], k))
+        ready.remove(i)
+        prev = completion[i] = max(jobs[i].release, prev) + p[i]
+        for k in succ[i]:
+            waiting[k] -= 1
+            if waiting[k] == 0:
+                ready.append(k)
+
+    t = np.minimum(np.searchsorted(np.array(grid.tau[1:]), completion) + 1, grid.T)
+    start = np.full(len(model.rows), -1)
+    start[:n] = [model.index.col(i, speed[i], t[i]) for i in range(n)]   # the assign rows lead
+    return start
 
 
 def solve_lp(model: LpModel) -> LpSolution:
@@ -197,7 +261,7 @@ def solve_lp(model: LpModel) -> LpSolution:
     A, senses, b = constraint_arrays(model)
     result = simplex.solve(
         model.objective, A, senses, b,
-        lower=np.zeros(model.ncols), upper=model.upper.copy(),
+        lower=np.zeros(model.ncols), upper=model.upper.copy(), start=start_basis(model),
     )
     if result.status != "optimal":
         raise RuntimeError(f"LP solve failed with status {result.status!r}")

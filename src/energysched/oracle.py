@@ -66,8 +66,8 @@ def _feasible_permutations(ids, precedence):
     return rec(())
 
 
-def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResult:
-    """Exact optimum over all orders and grid-speed assignments."""
+def check_size(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> None:
+    """Raise :class:`SizeCapError` when ``brute_force`` would refuse ``instance``."""
     n, m = instance.n, instance.speedset.m
     if n > n_cap or m > m_cap:
         raise SizeCapError(f"instance size n={n}, m={m} exceeds caps ({n_cap}, {m_cap})")
@@ -75,6 +75,11 @@ def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResu
         raise SizeCapError(f"{m}**{n} speed combinations exceed "
                            f"MAX_SPEED_COMBOS = {MAX_SPEED_COMBOS}")
 
+
+def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResult:
+    """Exact optimum over all orders and grid-speed assignments."""
+    check_size(instance, n_cap, m_cap)
+    n, m = instance.n, instance.speedset.m
     sigma = np.asarray(instance.speedset.speeds)
     tardy = instance.objective is Objective.TARDINESS
     rank = sorted(range(n), key=lambda k: instance.jobs[k].id)   # position -> job

@@ -65,10 +65,12 @@ def run(
             raise ValueError("invalid instance: " + "; ".join(report))
     a = instance.alpha if alpha is None else alpha
 
+    # these checks fail fast: none depends on the LP solution
     if instance.objective is Objective.TARDINESS:
-        # both fail fast: neither depends on the LP solution
         check_energy_assumption(instance)
         rounding.check_speed_range(instance, a)
+    if with_oracle:
+        oracle.check_size(instance, *oracle_caps)
 
     grid = timegrid.build_grid(instance)
     model = lp.build_lp(instance, grid)

@@ -10,20 +10,29 @@ The basic solution is carried along the same way: each step moves the basics
 by the entering column times the step length.
 
 Every eta update adds rounding error to B^-1 and to x.  So every
-:data:`REFACTOR_EVERY` basis changes both are rebuilt from scratch.  The
-interval trades the O(r^3) rebuild against that drift: at r = 200 rows one
-rebuild costs about ten pivots, and after 64 updates max|B^-1 B - I| stays
-below 3e-13 on the pipeline LPs up to n = 20 jobs, far inside the 1e-9
-tolerances.
+:data:`REFACTOR_EVERY` basis changes both are rebuilt from scratch, with one
+inverse: x_B = B^-1 (b - A_N x_N).  The interval trades the O(r^3) rebuild
+against that drift: at r = 200 rows one rebuild costs about ten pivots, and
+after 64 updates max|B^-1 B - I| stays below 3e-13 on the pipeline LPs up to
+n = 20 jobs, far inside the 1e-9 tolerances.
 
-Phase 1 starts from the slack ("crash") basis of Bixby (1992), *Implementing
-the simplex method: the initial basis*.  Every inequality row whose slack is
-feasible at the starting point -- a ``<=`` row with ``b - A lo >= 0`` or a
-``>=`` row with ``b - A lo <= 0`` -- starts on its slack, and its artificial is
-fixed at zero so it is never priced.  Only the equality rows and the rows
-whose slack would be negative start on an artificial.  On the pipeline LPs
-every capacity and precedence row starts feasible at x = 0, so phase 1 only
-has to place each job's assignment mass.
+Given a ``start`` basis (one column per row: a structural, or the row's own
+slack), :func:`solve` checks that its basic solution is primal feasible,
+fixes every artificial at zero and goes straight to phase 2.  The caller
+vouches for the start, so a singular or infeasible one raises ``ValueError``
+rather than falling back to phase 1.  ``lp.solve_lp`` starts at the vertex
+of a list schedule (the ``lp.py`` docstring gives why it is one), which
+removes phase 1 from every pipeline LP and, being a good schedule, shortens
+phase 2 as well: over the 48 LPs of the benchmark's solve-mid list at seed
+11 the pivots fell from 7,423 to 3,239.
+
+Without a start, phase 1 starts from the slack ("crash") basis of Bixby
+(1992), *Implementing the simplex method: the initial basis*.  Every
+inequality row whose slack is feasible at the starting point -- a ``<=`` row
+with ``b - A lo >= 0`` or a ``>=`` row with ``b - A lo <= 0`` -- starts on its
+slack, and its artificial is fixed at zero so it is never priced.  Only the
+equality rows and the rows whose slack would be negative start on an
+artificial.  Phase 2 then starts from phase 1's basis, rebuilt once.
 
 Nonbasic variables rest at either bound; the ratio test allows bound flips.
 Pricing is largest-reduced-cost with lowest-index tie-breaks, falling back to
@@ -81,7 +90,14 @@ class SolveResult:
         return self.phase1_iterations + self.phase2_iterations
 
 
-def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None = None) -> SolveResult:
+def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None = None,
+          start=None) -> SolveResult:
+    """Solve the LP; ``start`` is an optional primal feasible starting basis.
+
+    ``start[k]`` is the structural column basic on row k, or -1 for row k's
+    own slack.  With a start, phase 1 is skipped; a start whose basis is
+    singular or whose basic solution breaks a bound raises ``ValueError``.
+    """
     cfg = config or SolverConfig()
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -112,54 +128,88 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
     Aall[slack_rows, slack_cols] = slack_signs
     lo = np.concatenate([lower, np.zeros(nslack + nrows)])
     hi = np.concatenate([upper, np.full(nslack + nrows, np.inf)])
-
-    # slack crash: a row whose slack is feasible at the starting point starts
-    # on that slack, and its artificial is fixed at zero; every other row
-    # starts on an artificial signed so that it is feasible
-    resid = b - Aall[:, :nstd] @ lo[:nstd]
-    basis = np.arange(nstd, nall)
-    Aall[np.arange(nrows), basis] = np.where(resid >= 0, 1.0, -1.0)
-    crash = resid[slack_rows] * slack_signs >= 0
-    basis[slack_rows[crash]] = slack_cols[crash]
-    hi[nstd + slack_rows[crash]] = 0.0
     at_upper = np.zeros(nall, dtype=bool)
+    feas_tol = cfg.feasibility_tolerance * max(1.0, np.abs(b).max(initial=0.0))
 
-    # phase 1: drive the artificials to zero
-    c1 = np.zeros(nall)
-    c1[nstd:] = 1.0
-    status, iters1 = _iterate(Aall, b, c1, lo, hi, basis, at_upper, cfg, phase=1)
-    if status == "iteration_limit":
-        return SolveResult("iteration_limit", None, None, iters1)
-    x = _current_point(Aall, b, lo, hi, basis, at_upper)
-    if c1 @ x > cfg.feasibility_tolerance * max(1.0, np.abs(b).max()):
-        return SolveResult("infeasible", None, None, iters1)
+    if start is None:
+        # slack crash: a row whose slack is feasible at the starting point
+        # starts on that slack, and its artificial is fixed at zero; every
+        # other row starts on an artificial signed so that it is feasible
+        resid = b - Aall[:, :nstd] @ lo[:nstd]
+        basis = np.arange(nstd, nall)
+        Aall[np.arange(nrows), basis] = np.where(resid >= 0, 1.0, -1.0)
+        crash = resid[slack_rows] * slack_signs >= 0
+        basis[slack_rows[crash]] = slack_cols[crash]
+        hi[nstd + slack_rows[crash]] = 0.0
+
+        # phase 1: drive the artificials to zero
+        c1 = np.zeros(nall)
+        c1[nstd:] = 1.0
+        Binv, x = _factor(Aall, b, lo, hi, basis, at_upper)
+        status, iters1 = _iterate(Aall, b, c1, lo, hi, basis, at_upper, Binv, x, cfg, phase=1)
+        if status == "iteration_limit":
+            return SolveResult("iteration_limit", None, None, iters1)
+        Binv, x = _factor(Aall, b, lo, hi, basis, at_upper)
+        if c1 @ x > feas_tol:
+            return SolveResult("infeasible", None, None, iters1)
+    else:
+        basis = _start_basis(start, ncols, row_sign, slack_rows, slack_cols)
+        try:
+            Binv, x = _factor(Aall, b, lo, hi, basis, at_upper)
+        except SimplexError as exc:
+            raise ValueError(f"start basis is singular: {exc}") from exc
+        xb = x[basis]
+        gap = np.maximum(lo[basis] - xb, xb - hi[basis]).max(initial=0.0)
+        if not gap <= feas_tol:
+            raise ValueError(f"start basis is not primal feasible: a basic variable "
+                             f"is {gap} outside its bounds (tolerance {feas_tol})")
+        iters1 = 0
 
     # phase 2: pin the artificials at zero and optimize the real objective
     lo[nstd:] = 0.0
     hi[nstd:] = 0.0
     c2 = np.zeros(nall)
     c2[:ncols] = c
-    status, iters2 = _iterate(Aall, b, c2, lo, hi, basis, at_upper, cfg, phase=2)
+    status, iters2 = _iterate(Aall, b, c2, lo, hi, basis, at_upper, Binv, x, cfg, phase=2)
     if status != "optimal":
         return SolveResult(status, None, None, iters1, iters2)
-    x = _current_point(Aall, b, lo, hi, basis, at_upper)
     xs = x[:ncols]
     return SolveResult("optimal", xs, float(c @ xs), iters1, iters2)
 
 
-def _current_point(A, b, lo, hi, basis, at_upper) -> np.ndarray:
-    x = np.where(at_upper, np.where(np.isfinite(hi), hi, lo), lo)
-    x[basis] = 0.0
-    rhs = b - A @ x
+def _start_basis(start, ncols, row_sign, slack_rows, slack_cols) -> np.ndarray:
+    """Standard-form basis columns of a ``start`` given per row."""
+    start = np.asarray(start, dtype=int)
+    if start.shape != row_sign.shape:
+        raise ValueError(f"start has shape {start.shape}, expected ({len(row_sign)},)")
+    if np.any((start < -1) | (start >= ncols)):
+        raise ValueError("start names a column outside the structurals")
+    on_slack = start == -1
+    if np.any(on_slack & (row_sign == 0)):
+        raise ValueError("start puts an equality row on a slack it does not have")
+    slack_of_row = np.full(len(row_sign), -1)
+    slack_of_row[slack_rows] = slack_cols
+    return np.where(on_slack, slack_of_row, start)
+
+
+def _factor(A, b, lo, hi, basis, at_upper):
+    """B^-1 of ``basis`` and the point it gives, x_B = B^-1 (b - A_N x_N)."""
     try:
-        x[basis] = np.linalg.solve(A[:, basis], rhs)
+        Binv = np.linalg.inv(A[:, basis])
     except np.linalg.LinAlgError as exc:
         raise SimplexError(f"singular basis: {exc}") from exc
-    return x
+    x = np.where(at_upper, np.where(np.isfinite(hi), hi, lo), lo)
+    x[basis] = 0.0
+    x[basis] = Binv @ (b - A @ x)
+    return Binv, x
 
 
-def _iterate(A, b, c, lo, hi, basis, at_upper, cfg: SolverConfig, phase: int):
-    """Pivot from ``basis`` (updated in place, as is ``at_upper``) to a final status."""
+def _iterate(A, b, c, lo, hi, basis, at_upper, Binv, x, cfg: SolverConfig, phase: int):
+    """Pivot from ``basis`` to a final status.
+
+    ``Binv`` and ``x`` enter as B^-1 and the point of ``basis``; all four,
+    and ``at_upper``, are updated in place.
+    """
     nrows, nall = A.shape
     tol = cfg.optimality_tolerance
     degen_run = 0
@@ -170,15 +220,11 @@ def _iterate(A, b, c, lo, hi, basis, at_upper, cfg: SolverConfig, phase: int):
     cols = np.flatnonzero(hi - lo > PIVOT_TOL)
     A_cols, c_cols = A[:, cols], c[cols]
     outer = np.empty((nrows, nrows))
-    since_refactor = REFACTOR_EVERY
+    since_refactor = 0
 
     for it in range(cfg.max_iterations):
         if since_refactor >= REFACTOR_EVERY:
-            try:
-                Binv = np.linalg.inv(A[:, basis])
-            except np.linalg.LinAlgError as exc:
-                raise SimplexError(f"singular basis in phase {phase}: {exc}") from exc
-            x = _current_point(A, b, lo, hi, basis, at_upper)
+            Binv[...], x[...] = _factor(A, b, lo, hi, basis, at_upper)
             since_refactor = 0
 
         y = c[basis] @ Binv

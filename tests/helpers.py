@@ -109,3 +109,41 @@ def interval_of(grid, time: float) -> int:
     # smallest t >= 2 with time <= tau[t]
     t = bisect_left(grid.tau, time, lo=2)
     return min(t, grid.T)
+
+
+def reference_list_schedule(instance):
+    """The greedy list schedule whose vertex ``lp.start_basis`` must give.
+
+    Each job takes the speed index minimising its energy plus the total
+    weight times its load; among the jobs whose predecessors are all placed,
+    the largest weight-to-load ratio (the earliest deadline for tardiness)
+    goes next, ties to the lowest position; the timing is
+    ``rounding.assemble``'s.  Returns (order, speed index by job id,
+    completion time by job id).
+    """
+    from energysched.instance import Objective
+    from energysched.rounding import assemble
+
+    speeds = instance.speedset.speeds
+    total_weight = sum(job.weight for job in instance.jobs)
+    speed_index = {}
+    for job, costs in zip(instance.jobs, instance.energy_costs.tolist()):
+        scores = [cost + total_weight * (job.rho / s) for cost, s in zip(costs, speeds)]
+        speed_index[job.id] = scores.index(min(scores))
+
+    def priority(k):
+        job = instance.jobs[k]
+        if instance.objective is Objective.TARDINESS:
+            return job.deadline, k
+        return -job.weight / (job.rho / speeds[speed_index[job.id]]), k
+
+    order = []
+    while len(order) < instance.n:
+        ready = [
+            k for k, job in enumerate(instance.jobs)
+            if job.id not in order
+            and all(a in order for a in instance.precedence.predecessors(job.id))
+        ]
+        order.append(instance.jobs[min(ready, key=priority)].id)
+    speed = {jid: speeds[j] for jid, j in speed_index.items()}
+    return order, speed_index, assemble(instance, order, speed).completion

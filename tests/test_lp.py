@@ -17,7 +17,10 @@ from energysched import (
     solve_lp,
 )
 from energysched.instance import GeneratorConfig, generate
-from energysched.lp import build_lp
+from energysched.lp import build_lp, constraint_arrays, start_basis
+from energysched.simplex import solve
+
+from helpers import interval_of, reference_list_schedule
 
 
 def one_job_instance():
@@ -277,3 +280,67 @@ def test_lp_dump_contains_named_columns_and_rows():
     first_prec = next(line.strip() for line in text.splitlines() if "prec_" in line)
     assert first_prec.startswith("prec_1_2_2:")
     assert "bounds" in text
+
+
+START_FAMILIES = {
+    "completion-d0": (3, GeneratorConfig(edge_density=0.0)),
+    "completion-d0.3": (3, GeneratorConfig(edge_density=0.3)),
+    "completion-d1": (3, GeneratorConfig(edge_density=1.0)),
+    "releases-d0": (3, GeneratorConfig(edge_density=0.0, release_max=5.0)),
+    "releases-d0.3": (3, GeneratorConfig(edge_density=0.3, release_max=5.0)),
+    "releases-d1": (3, GeneratorConfig(edge_density=1.0, release_max=5.0)),
+    "table-d0.3": (3, GeneratorConfig(edge_density=0.3, energy_kind="table")),
+    "table-releases-d1": (3, GeneratorConfig(edge_density=1.0, energy_kind="table",
+                                             release_max=5.0)),
+    "tardiness-d0": (4, GeneratorConfig(objective=Objective.TARDINESS, edge_density=0.0)),
+    "tardiness-d0.3": (4, GeneratorConfig(objective=Objective.TARDINESS, edge_density=0.3)),
+    "tardiness-d1": (4, GeneratorConfig(objective=Objective.TARDINESS, edge_density=1.0)),
+    "tardiness-table-d0.3": (4, GeneratorConfig(objective=Objective.TARDINESS, edge_density=0.3,
+                                                energy_kind="table")),
+}
+
+
+def _start_cases(family):
+    """Nine seeded LPs of a family, n = 4..8: (instance, grid, model)."""
+    m, cfg = START_FAMILIES[family]
+    for seed in range(9):
+        inst = generate(seed, 4 + seed % 5, m, cfg)
+        grid = build_grid(inst)
+        yield inst, grid, build_lp(inst, grid)
+
+
+@pytest.mark.parametrize("family", START_FAMILIES)
+def test_start_is_the_list_schedule_vertex(family):
+    for inst, grid, model in _start_cases(family):
+        _, speed_index, completion = reference_list_schedule(inst)
+        expected = [
+            model.index.col(i, speed_index[job.id], interval_of(grid, completion[job.id]))
+            for i, job in enumerate(inst.jobs)
+        ]
+        assert start_basis(model).tolist() == expected + [-1] * (len(model.rows) - inst.n)
+
+
+@pytest.mark.parametrize("family", START_FAMILIES)
+def test_start_is_a_feasible_non_singular_basis(family):
+    for inst, _, model in _start_cases(family):
+        n = inst.n
+        A, senses, b = constraint_arrays(model)
+        start = start_basis(model)
+        assert np.all(model.upper[start[:n]] == 1.0)        # no start column is pinned
+        x = np.zeros(model.ncols)
+        x[start[:n]] = 1.0
+        assert es.lp._max_residual(A, senses, b, x) <= 1e-9 * max(1.0, np.abs(b).max())
+        # row k's basic column: the start column on an assign row, else its slack
+        B = np.diag(np.where(np.asarray(senses) == ">=", -1.0, 1.0))
+        B[:, :n] = A[:, start[:n]]
+        assert np.linalg.matrix_rank(B) == len(B)
+        assert solve_lp(model).phase1_iterations == 0
+
+
+@pytest.mark.parametrize("family", START_FAMILIES)
+def test_start_reaches_the_crash_start_optimum(family):
+    for _, _, model in _start_cases(family):
+        A, senses, b = constraint_arrays(model)
+        crash = solve(model.objective, A, senses, b, upper=model.upper)
+        assert crash.status == "optimal" and crash.phase1_iterations > 0
+        assert solve_lp(model).objective == pytest.approx(crash.objective, rel=1e-9, abs=0.0)

@@ -17,7 +17,7 @@ from energysched import (
 )
 from energysched.energy import TableEnergy
 from energysched.instance import GeneratorConfig, generate
-from energysched import oracle
+from energysched import lp, oracle, run
 from energysched.oracle import SizeCapError, _feasible_permutations
 from helpers import reference_brute_force
 
@@ -231,3 +231,13 @@ def test_negative_weight_is_searched_without_pruning():
     jobs = list(inst.jobs)
     jobs[2] = dataclasses.replace(jobs[2], weight=-1.5)
     _assert_matches_reference(dataclasses.replace(inst, jobs=tuple(jobs)), "negative weight")
+
+
+def test_pipeline_checks_oracle_caps_before_the_lp(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("the LP was built")
+
+    monkeypatch.setattr(lp, "build_lp", no_lp)
+    inst = generate(0, 8, 2, GeneratorConfig())
+    with pytest.raises(SizeCapError, match="exceeds caps"):
+        run(inst, with_oracle=True)

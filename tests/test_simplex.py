@@ -176,8 +176,9 @@ def _pipeline_model(seed, n, m, cfg):
     return lp.build_lp(inst, timegrid.build_grid(inst))
 
 
-PIPELINE_LPS = [(1, n, 3, GeneratorConfig(edge_density=0.3)) for n in (8, 10, 12, 15)]
-PIPELINE_LPS.append((1, 8, 6, GeneratorConfig(objective=Objective.TARDINESS, edge_density=0.3)))
+# sizes at which the list-schedule start still needs more than REFACTOR_EVERY pivots
+PIPELINE_LPS = [(1, n, 3, GeneratorConfig(edge_density=0.3)) for n in (10, 12, 15, 18)]
+PIPELINE_LPS.append((1, 14, 6, GeneratorConfig(objective=Objective.TARDINESS, edge_density=0.3)))
 
 
 @pytest.mark.parametrize(
@@ -207,12 +208,56 @@ def test_pipeline_lp_matches_highs(seed, n, m, cfg):
 
 
 def test_pipeline_lp_deterministic_bit_for_bit():
+    # the crash start, not solve_lp's list-schedule start, so phase 1 runs too
     model = _pipeline_model(1, 10, 3, GeneratorConfig(edge_density=0.3))
-    first = lp.solve_lp(model)
-    second = lp.solve_lp(model)
+    A, senses, b = lp.constraint_arrays(model)
+    first = solve(model.objective, A, senses, b, upper=model.upper)
+    second = solve(model.objective, A, senses, b, upper=model.upper)
     assert np.array_equal(first.x, second.x)
     assert first.objective == second.objective
     assert first.phase1_iterations > 0 and first.phase2_iterations > 0
     assert (first.phase1_iterations, first.phase2_iterations) == (
         second.phase1_iterations, second.phase2_iterations)
     assert first.iterations == first.phase1_iterations + first.phase2_iterations
+
+
+def test_pipeline_lp_warm_start_deterministic_bit_for_bit():
+    model = _pipeline_model(1, 10, 3, GeneratorConfig(edge_density=0.3))
+    first = lp.solve_lp(model)
+    second = lp.solve_lp(model)
+    assert np.array_equal(first.x, second.x)
+    assert first.objective == second.objective
+    assert first.phase1_iterations == 0 and first.phase2_iterations > 0
+    assert first.phase2_iterations == second.phase2_iterations
+
+
+def test_feasible_start_skips_phase_1():
+    # the single-job model again, started on its dearest column
+    c, A = [5.0, 5.0, 3.0], [[1.0, 1.0, 1.0]]
+    res = solve(c, A, ["="], [1.0], upper=np.ones(3), start=[0])
+    assert res.status == "optimal"
+    assert res.phase1_iterations == 0 and res.phase2_iterations == 1
+    assert res.objective == 3.0 and res.x[2] == 1.0
+
+
+@pytest.mark.parametrize("start,match", [
+    ([0, -1], "not primal feasible"),     # x0 = 1 breaks x0 <= 0.5
+    ([1, -1], "not primal feasible"),     # x1 = 1 leaves the ">=" row's slack at -0.25
+    ([-1, -1], "equality row"),
+    ([2, -1], "outside the structurals"),
+    ([1, -1, -1], "shape"),
+])
+def test_bad_start_raises_value_error(start, match):
+    # x0 + x1 = 1, x0 >= 0.25, x0 <= 0.5: feasible, but not at these starts
+    A = [[1.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(ValueError, match=match):
+        solve([1.0, 2.0], A, ["=", ">="], [1.0, 0.25], upper=[0.5, 1.0], start=start)
+
+
+@pytest.mark.parametrize("A,start", [
+    ([[1.0, 1.0], [2.0, 2.0]], [0, 1]),      # dependent columns
+    ([[1.0, 1.0], [1.0, -1.0]], [0, 0]),     # one column on both rows
+])
+def test_singular_start_raises_value_error(A, start):
+    with pytest.raises(ValueError, match="singular"):
+        solve([1.0, 1.0], A, ["<=", "<="], [1.0, 2.0], start=start)
