@@ -1,4 +1,4 @@
-"""Command-line surface: gen, solve, oracle, bench, lp-dump.
+"""Command-line surface: gen, solve, oracle, bench, lp-dump, perf.
 
 All commands print machine-readable JSON on stdout (``--pretty`` for an
 indented human mode) and diagnostics on stderr.
@@ -9,13 +9,22 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import platform
 import sys
+import time
 
 import numpy as np
 
 from . import instance as instance_mod
 from . import lp, oracle, pipeline, timegrid
 from .instance import GeneratorConfig, Objective
+
+
+#: ``energysched perf`` solves ``generate(seed, n, 3, edge_density=0.3)`` at
+#: every one of these seeds and sizes
+PERF_SEEDS = (1, 2, 3)
+PERF_SIZES = (5, 10, 15, 20, 30, 40)
 
 
 def _emit(data: dict, pretty: bool) -> None:
@@ -127,6 +136,39 @@ def cmd_lpdump(args) -> int:
     return 0
 
 
+def cmd_perf(args) -> int:
+    cfg = GeneratorConfig(edge_density=0.3)
+    rows = []
+    for n in PERF_SIZES:
+        for seed in PERF_SEEDS:
+            inst = instance_mod.generate(seed, n, 3, cfg)
+            t0 = time.perf_counter()
+            grid = timegrid.build_grid(inst)
+            t1 = time.perf_counter()
+            model = lp.build_lp(inst, grid)
+            t2 = time.perf_counter()
+            sol = lp.solve_lp(model)
+            t3 = time.perf_counter()
+            rows.append({
+                "seed": seed, "n": n, "m": 3, "rows": len(model.rows), "cols": model.ncols,
+                "phase1_iterations": sol.phase1_iterations,
+                "phase2_iterations": sol.phase2_iterations,
+                "bound_flips": sol.bound_flips, "degenerate_pivots": sol.degenerate_pivots,
+                "bland": sol.bland, "kernel_max": sol.kernel_max, "objective": sol.objective,
+                "grid_s": t1 - t0, "build_s": t2 - t1, "solve_s": t3 - t2,
+            })
+    env = {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "machine": platform.machine(), "cpus": os.cpu_count(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+    with open(args.out, "w") as fh:
+        json.dump({"env": env, "instances": rows}, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {args.out}", file=sys.stderr)
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="energysched",
@@ -174,6 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lpdump)
+
+    p = sub.add_parser("perf", help="time grid, LP build and LP solve at fixed seeds and sizes")
+    p.add_argument("--out", required=True, help="JSON record to write, BENCH_<tag>.json")
+    p.set_defaults(func=cmd_perf)
 
     return parser
 

@@ -115,6 +115,10 @@ class LpSolution:
     objective: float         # LP optimum: a lower bound on the optimal schedule cost
     phase1_iterations: int = 0   # simplex pivots and bound flips, per phase
     phase2_iterations: int = 0
+    bound_flips: int = 0         # simplex work, as in ``simplex.SolveResult``
+    degenerate_pivots: int = 0
+    bland: bool = False
+    kernel_max: int = 0
 
     @property
     def iterations(self) -> int:
@@ -281,6 +285,10 @@ def solve_lp(model: LpModel) -> LpSolution:
         x=x3, objective=float(model.objective @ x),
         phase1_iterations=result.phase1_iterations,
         phase2_iterations=result.phase2_iterations,
+        bound_flips=result.bound_flips,
+        degenerate_pivots=result.degenerate_pivots,
+        bland=result.bland,
+        kernel_max=result.kernel_max,
     )
 
 

@@ -181,6 +181,26 @@ def test_lp_dump_to_file(inst_path, tmp_path, capsys):
     assert "assign_1:" in text
 
 
+def test_perf_records_each_seed_and_size(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PERF_SEEDS", (1, 2))
+    monkeypatch.setattr(cli, "PERF_SIZES", (3, 5))
+    path = tmp_path / "BENCH_test.json"
+    rc, out, err = run_cli(capsys, "perf", "--out", str(path))
+    assert rc == 0 and out == "" and "wrote" in err
+    rows = json.loads(path.read_text())["instances"]
+    assert [(r["n"], r["seed"]) for r in rows] == [(3, 1), (3, 2), (5, 1), (5, 2)]
+    for r in rows:
+        inst = generate(r["seed"], r["n"], 3, GeneratorConfig(edge_density=0.3))
+        model = lp.build_lp(inst, timegrid.build_grid(inst))
+        sol = lp.solve_lp(model)
+        assert (r["rows"], r["cols"], r["objective"]) == (len(model.rows), model.ncols, sol.objective)
+        assert (r["phase1_iterations"], r["phase2_iterations"], r["bound_flips"],
+                r["degenerate_pivots"], r["bland"], r["kernel_max"]) == (
+            sol.phase1_iterations, sol.phase2_iterations, sol.bound_flips,
+            sol.degenerate_pivots, sol.bland, sol.kernel_max)
+        assert all(r[key] > 0 for key in ("grid_s", "build_s", "solve_s"))
+
+
 def test_missing_instance_file_exit_code(capsys):
     rc, _, err = run_cli(capsys, "solve", "/nonexistent/file.json")
     assert rc == 2

@@ -233,14 +233,18 @@ def test_long_processing_times_pass_the_relative_residual_check():
     # rho ~ 1e9 cycles puts capacity right-hand sides near 1e10, where a few
     # ulps of a row sum exceed an absolute 1e-7; the optimum itself is honest
     import dataclasses
-    base = generate(6, 5, 3, GeneratorConfig(edge_density=0.3, rho_max=9))
-    jobs = tuple(dataclasses.replace(j, rho=j.rho * 10**9) for j in base.jobs)
-    inst = dataclasses.replace(base, jobs=jobs)
-    model = build_lp(inst, build_grid(inst))
-    sol = solve_lp(model)
-    A, senses, b = es.lp.constraint_arrays(model)
-    residual = es.lp._max_residual(A, senses, b, sol.x.ravel())
-    assert 1e-7 < residual <= 1e-7 * np.abs(b).max()
+    residuals = []
+    for seed in (6, 7):
+        base = generate(seed, 5, 3, GeneratorConfig(edge_density=0.3, rho_max=9))
+        jobs = tuple(dataclasses.replace(j, rho=j.rho * 10**9) for j in base.jobs)
+        inst = dataclasses.replace(base, jobs=jobs)
+        model = build_lp(inst, build_grid(inst))
+        sol = solve_lp(model)
+        A, senses, b = es.lp.constraint_arrays(model)
+        residuals.append(es.lp._max_residual(A, senses, b, sol.x.ravel()))
+        assert residuals[-1] <= 1e-7 * np.abs(b).max()
+    # seed 7 ends past the absolute limit, so only the relative one admits it
+    assert max(residuals) > 1e-7
 
 
 def _loop_max_residual(A, senses, b, x):

@@ -84,6 +84,7 @@ def test_deterministic_bit_for_bit():
     assert first.objective == second.objective
     assert np.array_equal(first.x, second.x)
     assert first.iterations == second.iterations
+    assert work(first) == work(second)
 
 
 def test_optimality_certificate_residuals():
@@ -94,6 +95,21 @@ def test_optimality_certificate_residuals():
     assert np.all(A @ res.x <= b + 1e-9)
     assert np.all(res.x >= -1e-9)
     assert np.all(res.x <= upper + 1e-9)
+
+
+def work(result):
+    """The simplex work counters of a ``SolveResult`` or ``LpSolution``."""
+    return (result.bound_flips, result.degenerate_pivots, result.bland, result.kernel_max)
+
+
+def test_single_step_bound_flip():
+    # min -x with x <= 5 as a row and 0 <= x <= 1: x moves from bound to bound
+    # and the row's slack stays basic
+    res = solve([-1.0], [[1.0]], ["<="], [5.0], upper=[1.0])
+    assert res.status == "optimal"
+    assert res.x[0] == 1.0 and res.objective == -1.0
+    assert res.iterations == 1 and res.bound_flips == 1
+    assert (res.degenerate_pivots, res.bland, res.kernel_max) == (0, False, 0)
 
 
 def test_bad_tolerance_rejected():
@@ -169,6 +185,7 @@ def test_mixed_sense_deterministic_bit_for_bit():
     assert np.array_equal(first.x, second.x)
     assert (first.phase1_iterations, first.phase2_iterations) == (
         second.phase1_iterations, second.phase2_iterations)
+    assert work(first) == work(second)
 
 
 def _pipeline_model(seed, n, m, cfg):
@@ -177,7 +194,7 @@ def _pipeline_model(seed, n, m, cfg):
 
 
 # sizes at which the list-schedule start still needs more than REFACTOR_EVERY pivots
-PIPELINE_LPS = [(1, n, 3, GeneratorConfig(edge_density=0.3)) for n in (10, 12, 15, 18)]
+PIPELINE_LPS = [(1, n, 3, GeneratorConfig(edge_density=0.3)) for n in (10, 12, 15, 18, 30)]
 PIPELINE_LPS.append((1, 14, 6, GeneratorConfig(objective=Objective.TARDINESS, edge_density=0.3)))
 
 
@@ -219,6 +236,8 @@ def test_pipeline_lp_deterministic_bit_for_bit():
     assert (first.phase1_iterations, first.phase2_iterations) == (
         second.phase1_iterations, second.phase2_iterations)
     assert first.iterations == first.phase1_iterations + first.phase2_iterations
+    assert work(first) == work(second)
+    assert first.kernel_max > 0
 
 
 def test_pipeline_lp_warm_start_deterministic_bit_for_bit():
@@ -229,6 +248,8 @@ def test_pipeline_lp_warm_start_deterministic_bit_for_bit():
     assert first.objective == second.objective
     assert first.phase1_iterations == 0 and first.phase2_iterations > 0
     assert first.phase2_iterations == second.phase2_iterations
+    assert work(first) == work(second)
+    assert first.kernel_max >= model.index.n       # the start has a column per job
 
 
 def test_feasible_start_skips_phase_1():
@@ -261,3 +282,82 @@ def test_bad_start_raises_value_error(start, match):
 def test_singular_start_raises_value_error(A, start):
     with pytest.raises(ValueError, match="singular"):
         solve([1.0, 1.0], A, ["<=", "<="], [1.0, 2.0], start=start)
+
+
+def _kernel_drift(kernel):
+    """max |B11^-1 B11 - I| of the kernel's current inverse."""
+    k = kernel.k
+    B11 = kernel.A[np.ix_(kernel.rows[:k], kernel.cols[:k])]
+    return np.abs(kernel.inv[:k, :k] @ B11 - np.eye(k)).max(initial=0.0)
+
+
+def _spy_on_basis_changes(monkeypatch):
+    """Record (phase, case, drift after the change) of every basis change."""
+    seen, phase = [], [None]
+    iterate, change = simplex._iterate, simplex._Kernel.change
+
+    def spy_iterate(kernel, *args):
+        phase[0] = args[-2]
+        return iterate(kernel, *args)
+
+    def spy_change(kernel, slot, q, *args):
+        entering = "structural" if q < kernel.ncols else "logical"
+        leaving = "structural" if slot >= kernel.nrows else "logical"
+        change(kernel, slot, q, *args)
+        seen.append((phase[0], f"{entering} for {leaving}", _kernel_drift(kernel)))
+
+    monkeypatch.setattr(simplex, "_iterate", spy_iterate)
+    monkeypatch.setattr(simplex._Kernel, "change", spy_change)
+    return seen
+
+
+# (phase, basis change, LP family, seed): an LP of the family on which the
+# simplex makes that change in that phase.  "box" LPs are all "<=" rows with
+# b >= 0, so phase 1 is empty; "mixed" LPs start phase 1 on artificials.
+KERNEL_CASES = [
+    (1, "structural for logical", "mixed", 0),
+    (1, "structural for structural", "mixed", 48),
+    (1, "logical for structural", "mixed", 2),
+    (1, "logical for logical", "mixed", 0),
+    (2, "structural for logical", "box", 0),
+    (2, "structural for structural", "box", 6),
+    (2, "logical for structural", "box", 81),
+    (2, "logical for logical", "mixed", 13),
+]
+
+
+@pytest.mark.parametrize(
+    "phase,case,family,seed", KERNEL_CASES,
+    ids=[f"phase{p}-{case.replace(' ', '-')}" for p, case, _, _ in KERNEL_CASES],
+)
+def test_each_kernel_update_reaches_the_vertex_enumeration_optimum(
+        monkeypatch, phase, case, family, seed):
+    rng = np.random.default_rng(seed)
+    if family == "box":
+        c, A, b, upper = random_box_lp(rng, nvars=3, nrows=3)
+        senses = ["<="] * 3
+    else:
+        c, A, senses, b, upper = mixed_sense_lp(rng, nvars=3)
+    seen = _spy_on_basis_changes(monkeypatch)
+    res = solve(c, A, senses, b, upper=upper)
+    assert (phase, case) in [(p, kind) for p, kind, _ in seen]
+    assert max(drift for _, _, drift in seen) <= 1e-12
+    expected, _ = vertex_enum_min(c, *as_le_rows(A, senses, b), upper)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def test_kernel_inverse_is_accurate_before_every_rebuild(monkeypatch):
+    # the n = 20 pipeline LP runs several REFACTOR_EVERY intervals of updates
+    factor, checked, drift = simplex._factor, set(), []
+
+    def spy_factor(kernel, *args):
+        if id(kernel) in checked:            # the first call builds the first inverse
+            drift.append(_kernel_drift(kernel))
+        checked.add(id(kernel))
+        return factor(kernel, *args)
+
+    monkeypatch.setattr(simplex, "_factor", spy_factor)
+    sol = lp.solve_lp(_pipeline_model(1, 20, 3, GeneratorConfig(edge_density=0.3)))
+    assert len(drift) >= 3
+    assert max(drift) <= 1e-10
