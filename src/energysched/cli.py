@@ -151,8 +151,7 @@ def cmd_perf(args) -> int:
             t3 = time.perf_counter()
             rows.append({
                 "seed": seed, "n": n, "m": 3, "rows": len(model.rows), "cols": model.ncols,
-                "phase1_iterations": sol.phase1_iterations,
-                "phase2_iterations": sol.phase2_iterations,
+                "iterations": sol.iterations,
                 "bound_flips": sol.bound_flips, "degenerate_pivots": sol.degenerate_pivots,
                 "bland": sol.bland, "kernel_max": sol.kernel_max, "objective": sol.objective,
                 "grid_s": t1 - t0, "build_s": t2 - t1, "solve_s": t3 - t2,

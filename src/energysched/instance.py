@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -78,7 +79,7 @@ class PrecedenceDag:
         """
         edges = tuple(dict.fromkeys(self.edges))
         ids = sorted({v for edge in edges for v in edge})
-        order = _topological_order(ids, edges)
+        order = priority_order(ids, edges)
         if order is None:
             raise ValueError("precedence graph has a cycle")
         bit = {v: 1 << k for k, v in enumerate(ids)}
@@ -131,24 +132,26 @@ class Instance:
         return any(j.release > 0 for j in self.jobs)
 
 
-def _topological_order(ids: Sequence[int], edges) -> list | None:
-    """Kahn topological sort; None when the edge set has a cycle."""
-    indeg = {i: 0 for i in ids}
-    succ = {i: [] for i in ids}
+def priority_order(items: Sequence, edges, key=lambda item: 0) -> list | None:
+    """Kahn's topological sort of ``items`` under ``edges``: of the items whose
+    predecessors are all placed, the least by ``(key(item), item)`` goes next.
+    None when the edges have a cycle."""
+    waiting = {i: 0 for i in items}
+    succ = {i: [] for i in items}
     for a, b in edges:
-        indeg[b] += 1
+        waiting[b] += 1
         succ[a].append(b)
-    ready = sorted(i for i in ids if indeg[i] == 0)
+    ready = [(key(i), i) for i in items if waiting[i] == 0]
+    heapq.heapify(ready)
     out = []
     while ready:
-        i = ready.pop(0)
+        _, i = heapq.heappop(ready)
         out.append(i)
         for b in succ[i]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-        ready.sort()
-    return out if len(out) == len(ids) else None
+            waiting[b] -= 1
+            if waiting[b] == 0:
+                heapq.heappush(ready, (key(b), b))
+    return out if len(out) == len(waiting) else None
 
 
 def _job_numbers(job: Job) -> dict:
@@ -215,7 +218,7 @@ def validate(instance: Instance) -> list:
         if a not in id_set or b not in id_set:
             report.append(f"precedence edge ({a}, {b}) references unknown job id")
     if all(a in id_set and b in id_set for a, b in instance.precedence.edges):
-        if _topological_order(ids, instance.precedence.edges) is None:
+        if priority_order(ids, instance.precedence.edges) is None:
             report.append("precedence graph has a cycle")
 
     if not (0 < instance.alpha < 1):

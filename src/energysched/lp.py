@@ -43,7 +43,7 @@ end is at least C_i (capped at T).  That point is feasible:
 
 Its basis, the start column on each assign row and the slack on every other
 row, is triangular and so non-singular; the point is therefore a vertex, and
-the simplex needs no phase 1.
+the simplex starts there.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, Objective
+from .instance import Instance, Objective, priority_order
 from .timegrid import TimeGrid
 
 
@@ -113,16 +113,11 @@ class LpModel:
 class LpSolution:
     x: np.ndarray            # (n, m, T), all >= 0
     objective: float         # LP optimum: a lower bound on the optimal schedule cost
-    phase1_iterations: int = 0   # simplex pivots and bound flips, per phase
-    phase2_iterations: int = 0
-    bound_flips: int = 0         # simplex work, as in ``simplex.SolveResult``
+    iterations: int = 0          # simplex work, as in ``simplex.SolveResult``
+    bound_flips: int = 0
     degenerate_pivots: int = 0
     bland: bool = False
     kernel_max: int = 0
-
-    @property
-    def iterations(self) -> int:
-        return self.phase1_iterations + self.phase2_iterations
 
     def fractional_completion(self, grid: TimeGrid) -> np.ndarray:
         """Per-job expected interval lower bound, sum_jt tau_{t-1} * x_ijt."""
@@ -230,27 +225,16 @@ def start_basis(model: LpModel) -> np.ndarray:
     speed = np.argmin(instance.energy_costs + weight.sum() * load, axis=1)
     p = load[np.arange(n), speed]
     if instance.objective is Objective.TARDINESS:
-        key = [job.deadline for job in jobs]
+        rank = [job.deadline for job in jobs]
     else:
-        key = (-weight / p).tolist()
+        rank = (-weight / p).tolist()
 
     pos = {job.id: i for i, job in enumerate(jobs)}
-    waiting = [0] * n                       # unplaced predecessors per job
-    succ = [[] for _ in range(n)]
-    for a, b in dict.fromkeys(instance.precedence.edges):
-        waiting[pos[b]] += 1
-        succ[pos[a]].append(pos[b])
-    ready = [i for i in range(n) if waiting[i] == 0]
+    edges = [(pos[a], pos[b]) for a, b in instance.precedence.edges]
     completion = np.zeros(n)
     prev = 0.0
-    while ready:
-        i = min(ready, key=lambda k: (key[k], k))
-        ready.remove(i)
+    for i in priority_order(range(n), edges, key=rank.__getitem__):
         prev = completion[i] = max(jobs[i].release, prev) + p[i]
-        for k in succ[i]:
-            waiting[k] -= 1
-            if waiting[k] == 0:
-                ready.append(k)
 
     t = np.minimum(np.searchsorted(np.array(grid.tau[1:]), completion) + 1, grid.T)
     start = np.full(len(model.rows), -1)
@@ -283,8 +267,7 @@ def solve_lp(model: LpModel) -> LpSolution:
         raise RuntimeError(f"per-job mass deviates from 1: {mass}")
     return LpSolution(
         x=x3, objective=float(model.objective @ x),
-        phase1_iterations=result.phase1_iterations,
-        phase2_iterations=result.phase2_iterations,
+        iterations=result.iterations,
         bound_flips=result.bound_flips,
         degenerate_pivots=result.degenerate_pivots,
         bland=result.bland,

@@ -57,13 +57,16 @@ def run(
     with_oracle: bool = False,
     oracle_caps: tuple = (7, 4),
 ) -> PipelineResult:
-    if epsilon is not None:
-        # the override was not validated with the instance: a tiny epsilon hangs the grid
-        instance = dataclasses.replace(instance, epsilon=epsilon)
+    overrides = {key: value for key, value in (("alpha", alpha), ("epsilon", epsilon))
+                 if value is not None}
+    if overrides:
+        # not validated with the instance: a tiny epsilon hangs the grid, and
+        # alpha at 0 or 1 divides by zero in the tardiness speed check
+        instance = dataclasses.replace(instance, **overrides)
         report = instance_mod.validate(instance)
         if report:
             raise ValueError("invalid instance: " + "; ".join(report))
-    a = instance.alpha if alpha is None else alpha
+    a = instance.alpha
 
     # these checks fail fast: none depends on the LP solution
     if instance.objective is Objective.TARDINESS:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import energy as energy_mod
 from . import evaluate
-from .instance import Instance, Objective, SpeedSet
+from .instance import Instance, Objective, SpeedSet, priority_order
 from .lp import LpSolution
 
 #: slack when comparing accumulated LP mass against alpha
@@ -137,21 +137,9 @@ def order_jobs(taus, precedence, job_ids) -> list:
             raise PrecedenceOrderError(
                 f"edge {a} -> {b} but alpha intervals {tau_of[a]} > {tau_of[b]}"
             )
-    remaining = set(job_ids)
-    placed = set()
-    order = []
-    for t in sorted(set(tau_of.values())):
-        bucket = {i for i in remaining if tau_of[i] == t}
-        while bucket:
-            ready = [
-                i for i in sorted(bucket)
-                if all(p in placed for p in precedence.predecessors(i) if p in bucket)
-            ]
-            nxt = ready[0]
-            order.append(nxt)
-            placed.add(nxt)
-            bucket.remove(nxt)
-            remaining.remove(nxt)
+    # with no interval inverted, this is the interval buckets in order, each
+    # in topological order with the lowest id first
+    order = priority_order(job_ids, precedence.edges, key=tau_of.__getitem__)
     pos = {jid: k for k, jid in enumerate(order)}
     for a, b in precedence.edges:
         if pos[a] > pos[b]:

@@ -2,15 +2,14 @@
 
 A revised simplex sized for desk-scale models (up to a few thousand
 columns).  The problem is put in standard form with a slack per inequality
-row and an artificial per row.  Those "logical" columns are each a signed
-unit vector ``±e_row``, so their part of the basis and of its inverse is
-known without arithmetic; they are never stored, only the structural
-columns of ``A`` are.
+row.  A slack is a signed unit vector ``±e_row``, so its part of the basis
+and of its inverse is known without arithmetic; slacks are never stored,
+only the structural columns of ``A`` are.
 
 **The basis in block form.**  Let J be the structural columns in the basis
-and K the rows on which no logical is basic (|K| = |J| = k); every other row
-l in L carries exactly one basic logical, with sign ``D_l = ±1``.  Ordering
-the rows K, L and the columns J, L gives
+and K the rows on which no slack is basic (|K| = |J| = k); every other row
+l in L carries its own slack, with sign ``D_l = ±1``.  Ordering the rows K,
+L and the columns J, L gives
 
     B = [[B11, 0], [A[L, J], D]],     B11 = A[K, J]  (k x k),
 
@@ -20,8 +19,8 @@ for large-scale linear programming bases*, split off the logical part in the
 same way).  With ``D^-1 = D``:
 
 * FTRAN of a column a: ``w_J = B11^-1 a_K``, then ``w_L = D (a_L - A[L, J] w_J)``;
-* BTRAN of costs c: ``y_K = (c_J - (D c_L)^T A[L, J]) B11^-1`` and ``y_L = D c_L``,
-  which is zero in phase 2, where logicals cost nothing.
+* BTRAN of costs c: ``y_K = c_J B11^-1`` and ``y_L = 0``, as slacks cost
+  nothing.
 
 On the pipeline LPs most basics are slacks, so k is a fraction of the row
 count r: over the 48 LPs of the benchmark's solve-mid list at seed 11, k
@@ -33,46 +32,35 @@ for an explicit B^-1.
 
 * a structural replaces a structural: a rank-1 Gauss-Jordan update of
   B11^-1 (the product form of Dantzig & Orchard-Hays, 1954);
-* a structural replaces the logical of row l: row l and the column join the
+* a structural replaces the slack of row l: row l and the column join the
   kernel, and B11^-1 grows by one bordered row and column through the Schur
   complement ``a_l - A[l, J] w_J``;
-* a logical of kernel row i replaces a structural: row i and the column
+* the slack of kernel row i replaces a structural: row i and the column
   leave, and B11^-1 shrinks by the inverse-of-a-minor formula; the last row
   and column move into the freed places;
-* the logical of kernel row i replaces the logical of row l: kernel row i
-  gives way to row l, a rank-1 row update of B11^-1.  A logical never
-  replaces the other logical of its own row: in phase 2 the dual of a row
-  carrying a logical is 0, so no logical of it is priced in, and in phase 1
-  a row carries its artificial only when its slack was infeasible at the
-  start, so the two have opposite signs and the slack's reduced cost is +1.
+* the slack of kernel row i replaces the slack of row l: kernel row i gives
+  way to row l, a rank-1 row update of B11^-1.
 
 Every update adds rounding error to B11^-1 and to x, so every
 :data:`REFACTOR_EVERY` basis changes both are rebuilt from scratch with one
 k x k inverse: ``x_J = B11^-1 (b - A_N x_N)_K`` and ``x_L = D (b - A_N x_N -
-A[:, J] x_J)_L``.  Nonbasic logicals rest at zero.
+A[:, J] x_J)_L``.  Nonbasic slacks rest at zero.
 
-Given a ``start`` basis (one column per row: a structural, or the row's own
-slack), :func:`solve` checks that its basic solution is primal feasible,
-fixes every artificial at zero and goes straight to phase 2.  The caller
-vouches for the start, so a singular or infeasible one raises ``ValueError``
-rather than falling back to phase 1.  ``lp.solve_lp`` starts at the vertex
-of a list schedule (the ``lp.py`` docstring gives why it is one), which
-removes phase 1 from every pipeline LP and shortens phase 2 as well.
-
-Without a start, phase 1 starts from the slack ("crash") basis of Bixby
-(1992), *Implementing the simplex method: the initial basis*.  Every
-inequality row whose slack is feasible at the starting point -- a ``<=`` row
-with ``b - A lo >= 0`` or a ``>=`` row with ``b - A lo <= 0`` -- starts on its
-slack, and its artificial is fixed at zero so it is never priced.  Only the
-equality rows and the rows whose slack would be negative start on an
-artificial.  The crash basis has k = 0, and both phases run through the same
-kernel.
+**The start.**  :func:`solve` takes a ``start`` basis, one column per row: a
+structural, or the row's own slack.  It checks that the basis is
+non-singular and that its basic solution is primal feasible, and raises
+``ValueError`` otherwise; there is no phase 1 to fall back to.  Without a
+start every row starts on its slack, which needs every row to be an
+inequality whose slack is feasible at the lower bounds.  ``lp.solve_lp``
+starts at the vertex of a list schedule (the ``lp.py`` docstring gives why
+it is one).  A kernel row has no basic slack; its slot names one
+placeholder column, fixed at zero, that is never priced.
 
 Nonbasic variables rest at either bound; the ratio test allows bound flips.
 Pricing is largest-reduced-cost with lowest-index tie-breaks, falling back to
 Bland's rule once a run of degenerate pivots is detected, so every solve is
 deterministic and terminates.  Column indices, for the tie-breaks, number
-the structurals first, then the slacks in row order, then the artificials.
+the structurals first, then the slacks in row order, then the placeholder.
 
 The entry point :func:`solve` takes the problem in row form
 
@@ -114,27 +102,22 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
-    status: str                  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
+    status: str                  # "optimal" | "unbounded" | "iteration_limit"
     x: np.ndarray | None
     objective: float | None
-    phase1_iterations: int
-    phase2_iterations: int = 0
+    iterations: int              # pivots and bound flips
     bound_flips: int = 0         # steps that moved the entering column from bound to bound
     degenerate_pivots: int = 0   # basis changes with a zero step
     bland: bool = False          # a degenerate run switched pricing to Bland's rule
     kernel_max: int = 0          # largest structural kernel k reached
 
-    @property
-    def iterations(self) -> int:
-        return self.phase1_iterations + self.phase2_iterations
-
 
 def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None = None,
           start=None) -> SolveResult:
-    """Solve the LP; ``start`` is an optional primal feasible starting basis.
+    """Solve the LP from ``start``, a primal feasible basis.
 
     ``start[k]`` is the structural column basic on row k, or -1 for row k's
-    own slack.  With a start, phase 1 is skipped; a start whose basis is
+    own slack; ``None`` puts every row on its slack.  A start whose basis is
     singular or whose basic solution breaks a bound raises ``ValueError``.
     """
     cfg = config or SolverConfig()
@@ -154,48 +137,17 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
         if s not in sign_of:
             raise ValueError(f"unknown row sense {s!r}")
     row_sign = np.array([sign_of[s] for s in senses])
-    slack_rows = np.flatnonzero(row_sign)
-    nslack = len(slack_rows)
-    nstd = ncols + nslack
-    nall = nstd + nrows
-    # the logical columns ncols + l: a slack per inequality row, then an
-    # artificial per row signed so that it is feasible at the lower bounds
-    resid = b - A @ lower
-    lrow = np.concatenate([slack_rows, np.arange(nrows)])
-    lsign = np.concatenate([row_sign[slack_rows], np.where(resid >= 0, 1.0, -1.0)])
-    lo = np.concatenate([lower, np.zeros(nslack + nrows)])
-    hi = np.concatenate([upper, np.full(nslack + nrows, np.inf)])
-    at_upper = np.zeros(nall, dtype=bool)
+    nslack = np.count_nonzero(row_sign)
+    # the columns: structurals, a slack per inequality row, the placeholder
+    lo = np.concatenate([lower, np.zeros(nslack + 1)])
+    hi = np.concatenate([upper, np.full(nslack, np.inf), [0.0]])
+    at_upper = np.zeros(len(lo), dtype=bool)
     feas_tol = cfg.feasibility_tolerance * max(1.0, np.abs(b).max(initial=0.0))
     work = {"bound_flips": 0, "degenerate_pivots": 0, "bland": False}
-    slack_of = nstd + np.arange(nrows)      # each row's slack; an equality row's artificial
-    slack_of[slack_rows] = ncols + np.arange(nslack)
 
-    def result(status, iters1, iters2=0, x=None):
-        objective = None if x is None else float(c @ x)
-        return SolveResult(status, x, objective, iters1, iters2, **work, kernel_max=kernel.kmax)
-
-    if start is None:
-        # slack crash: a row whose slack is feasible at the starting point
-        # starts on that slack, and its artificial is fixed at zero; every
-        # other row starts on its artificial
-        crash = (row_sign != 0) & (resid * row_sign >= 0)
-        hi[nstd + np.flatnonzero(crash)] = 0.0
-        kernel = _Kernel(A, lrow, lsign, np.where(crash, slack_of, nstd + np.arange(nrows)), [], [])
-
-        # phase 1: drive the artificials to zero
-        cost = np.zeros(nall)
-        cost[nstd:] = 1.0
-        x = _factor(kernel, b, lo, hi, at_upper)
-        status, iters1 = _iterate(kernel, b, cost, lo, hi, x, at_upper, cfg, 1, work)
-        if status == "iteration_limit":
-            return result(status, iters1)
-        x = _factor(kernel, b, lo, hi, at_upper)
-        if cost @ x > feas_tol:
-            return result("infeasible", iters1)
-    else:
-        rows, cols = _start_kernel(start, ncols, row_sign)
-        kernel = _Kernel(A, lrow, lsign, slack_of, rows, cols)
+    try:
+        rows, cols = _start_kernel(np.full(nrows, -1) if start is None else start, ncols, row_sign)
+        kernel = _Kernel(A, row_sign, rows, cols)
         try:
             x = _factor(kernel, b, lo, hi, at_upper)
         except SimplexError as exc:
@@ -206,15 +158,17 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
         if not gap <= feas_tol:
             raise ValueError(f"start basis is not primal feasible: a basic variable "
                              f"is {gap} outside its bounds (tolerance {feas_tol})")
-        iters1 = 0
+    except ValueError as exc:
+        if start is not None:
+            raise
+        raise ValueError(f"{exc} (no start was given, so every row starts on its slack)") from None
 
-    # phase 2: pin the artificials at zero and optimize the real objective
-    lo[nstd:] = 0.0
-    hi[nstd:] = 0.0
-    cost = np.zeros(nall)
+    cost = np.zeros(len(lo))
     cost[:ncols] = c
-    status, iters2 = _iterate(kernel, b, cost, lo, hi, x, at_upper, cfg, 2, work)
-    return result(status, iters1, iters2, x[:ncols] if status == "optimal" else None)
+    status, iterations = _iterate(kernel, b, cost, lo, hi, x, at_upper, cfg, work)
+    x = x[:ncols] if status == "optimal" else None
+    objective = None if x is None else float(c @ x)
+    return SolveResult(status, x, objective, iterations, **work, kernel_max=kernel.kmax)
 
 
 def _start_kernel(start, ncols, row_sign):
@@ -237,16 +191,19 @@ class _Kernel:
     position p (slot r + p).  Position p pairs structural column ``cols[p]``
     (of J) with row ``rows[p]`` (of K); ``inv[:k, :k]`` is B11^-1, its rows
     indexed by column position and its columns by row position, and
-    ``AJt[p]`` is ``A[:, cols[p]]``.  ``logical[i]`` is the logical column
-    basic on row i and ``dsign[i]`` its sign; on a kernel row dsign is 0 and
-    ``logical`` names the row's artificial, which is then nonbasic at zero.
+    ``AJt[p]`` is ``A[:, cols[p]]``.  ``logical[i]`` is the slack basic on
+    row i and ``dsign[i]`` its sign; on a kernel row dsign is 0 and
+    ``logical`` names the placeholder column, nonbasic and fixed at zero.
+    Slack ``ncols + l`` sits on row ``lrow[l]`` with sign ``lsign[l]``.
     """
 
-    def __init__(self, A, lrow, lsign, logical, rows, cols):
+    def __init__(self, A, row_sign, rows, cols):
         nrows, ncols = A.shape
         cap = min(nrows, ncols)
         self.A, self.nrows, self.ncols = A, nrows, ncols
-        self.lrow, self.lsign = lrow, lsign
+        self.lrow = np.flatnonzero(row_sign)
+        self.lsign = row_sign[self.lrow]
+        self.placeholder = ncols + len(self.lrow)
         self.inv = np.empty((cap, cap))
         self.outer = np.empty((cap, cap))
         self.AJt = np.empty((cap, nrows))
@@ -255,15 +212,15 @@ class _Kernel:
         self.w = np.empty(nrows + cap)                      # FTRAN, by slot
         self.rows = np.empty(cap, dtype=np.intp)
         self.kpos = np.full(nrows, -1)
-        self.artificial = ncols + len(lrow) - nrows + np.arange(nrows)
-        self.logical[:] = logical
-        self.dsign = lsign[self.logical - ncols]
+        self.logical[:] = self.placeholder
+        self.logical[self.lrow] = ncols + np.arange(len(self.lrow))
+        self.dsign = row_sign.copy()
         k = self.k = self.kmax = len(rows)
         self.cols[:k], self.rows[:k] = cols, rows
         self.kpos[rows] = np.arange(k)
         self.AJt[:k] = A[:, cols].T
         self.dsign[rows] = 0.0
-        self.logical[rows] = self.artificial[rows]
+        self.logical[rows] = self.placeholder
 
     def basic_cols(self) -> np.ndarray:
         return self.basic[:self.nrows + self.k]
@@ -285,13 +242,10 @@ class _Kernel:
         return w, wr
 
     def btran(self, cost) -> np.ndarray:
-        """The duals ``y = c_B B^-1``."""
+        """The duals ``y = c_B B^-1``; zero off the kernel rows."""
         k = self.k
-        y = self.dsign * cost[self.logical]
-        u = cost[self.cols[:k]]
-        if y.any():
-            u = u - self.AJt[:k] @ y
-        y[self.rows[:k]] = u @ self.inv[:k, :k]
+        y = np.zeros(self.nrows)
+        y[self.rows[:k]] = cost[self.cols[:k]] @ self.inv[:k, :k]
         return y
 
     def change(self, slot, q, a, w, wr):
@@ -301,7 +255,7 @@ class _Kernel:
         wJ = w[r:]
         outer = self.outer[:k, :k]
         if q >= ncols:
-            i = self.lrow[q - ncols]             # the entering logical's row
+            i = self.lrow[q - ncols]             # the entering slack's row
             qsign = self.lsign[q - ncols]
         if slot >= r and q < ncols:              # structural for structural
             p = slot - r
@@ -311,7 +265,7 @@ class _Kernel:
             inv[p, :k] = piv
             self.cols[p] = q
             self.AJt[p] = a
-        elif slot >= r:                          # logical of kernel row i for structural
+        elif slot >= r:                          # slack of kernel row i for structural
             p, pi, last = slot - r, self.kpos[i], k - 1
             np.multiply.outer(inv[:k, pi], inv[p, :k] / inv[p, pi], out=outer)
             inv[:k, :k] -= outer
@@ -326,7 +280,7 @@ class _Kernel:
                 self.kpos[self.rows[pi]] = pi
             self.k = last
             self.logical[i], self.dsign[i] = q, qsign
-        elif q < ncols:                          # structural for the logical of row l
+        elif q < ncols:                          # structural for the slack of row l
             l = slot
             s = wr[l]
             z = self.AJt[:k, l] @ inv[:k, :k]
@@ -337,7 +291,7 @@ class _Kernel:
             inv[k, k] = 1.0 / s
             self.cols[k], self.rows[k], self.kpos[l] = q, l, k
             self.AJt[k] = a
-            self.logical[l], self.dsign[l] = self.artificial[l], 0.0
+            self.logical[l], self.dsign[l] = self.placeholder, 0.0
             self.k = k + 1
             self.kmax = max(self.kmax, k + 1)
         else:                                    # kernel row i gives way to row l
@@ -348,7 +302,7 @@ class _Kernel:
             inv[:k, :k] -= outer
             inv[:k, pi] = col
             self.rows[pi], self.kpos[l], self.kpos[i] = l, pi, -1
-            self.logical[l], self.dsign[l] = self.artificial[l], 0.0
+            self.logical[l], self.dsign[l] = self.placeholder, 0.0
             self.logical[i], self.dsign[i] = q, qsign
 
 
@@ -362,15 +316,14 @@ def _factor(kernel: _Kernel, b, lo, hi, at_upper) -> np.ndarray:
         raise SimplexError(f"singular basis: {exc}") from exc
     x = np.where(at_upper, np.where(np.isfinite(hi), hi, lo), lo)
     x[cols] = 0.0
-    rhs = b - A @ x[:kernel.ncols]      # nonbasic logicals rest at zero
+    rhs = b - A @ x[:kernel.ncols]      # nonbasic slacks rest at zero
     x[cols] = xJ = kernel.inv[:k, :k] @ rhs[rows]
-    # on a kernel row dsign is 0, and logical names a nonbasic artificial
+    # on a kernel row dsign is 0, and logical names the placeholder
     x[kernel.logical] = kernel.dsign * (rhs - xJ @ kernel.AJt[:k])
     return x
 
 
-def _iterate(kernel: _Kernel, b, cost, lo, hi, x, at_upper, cfg: SolverConfig,
-             phase: int, work: dict):
+def _iterate(kernel: _Kernel, b, cost, lo, hi, x, at_upper, cfg: SolverConfig, work: dict):
     """Pivot from the kernel's basis to a final status.
 
     ``x`` enters as the point of the basis; it, ``at_upper`` and the kernel
@@ -437,7 +390,7 @@ def _iterate(kernel: _Kernel, b, cost, lo, hi, x, at_upper, cfg: SolverConfig,
             t_best = hi[q] - lo[q]
             leave = -1
         if not t_best < np.inf:
-            return ("infeasible" if phase == 1 else "unbounded"), it
+            return "unbounded", it
 
         degen_run = degen_run + 1 if t_best <= TIE_TOL else 0
         if degen_run > 3 * nrows and not bland:

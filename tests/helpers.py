@@ -45,6 +45,28 @@ def vertex_enum_min(c, A, b, upper):
     return best, best_x
 
 
+def highs_objective(model):
+    """The optimum of an ``lp.LpModel`` by HiGHS; skips the test without scipy."""
+    import pytest
+
+    from energysched import lp
+
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    A, senses, b = lp.constraint_arrays(model)
+    senses = np.asarray(senses)
+    flip = np.where(senses == ">=", -1.0, 1.0)   # ">=" rows as "<=" rows
+    ub = senses != "="
+    ref = linprog(
+        model.objective,
+        A_ub=(flip[:, None] * A)[ub], b_ub=(flip * b)[ub],
+        A_eq=A[~ub], b_eq=b[~ub],
+        bounds=np.column_stack([np.zeros(model.ncols), model.upper]),
+        method="highs",
+    )
+    assert ref.status == 0
+    return ref.fun
+
+
 def random_box_lp(rng, nvars=4, nrows=4):
     """Random bounded-feasible LP: A x <= b with b >= 0, finite box."""
     c = rng.uniform(-2, 2, nvars)

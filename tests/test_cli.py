@@ -194,10 +194,9 @@ def test_perf_records_each_seed_and_size(tmp_path, capsys, monkeypatch):
         model = lp.build_lp(inst, timegrid.build_grid(inst))
         sol = lp.solve_lp(model)
         assert (r["rows"], r["cols"], r["objective"]) == (len(model.rows), model.ncols, sol.objective)
-        assert (r["phase1_iterations"], r["phase2_iterations"], r["bound_flips"],
-                r["degenerate_pivots"], r["bland"], r["kernel_max"]) == (
-            sol.phase1_iterations, sol.phase2_iterations, sol.bound_flips,
-            sol.degenerate_pivots, sol.bland, sol.kernel_max)
+        assert (r["iterations"], r["bound_flips"], r["degenerate_pivots"], r["bland"],
+                r["kernel_max"]) == (sol.iterations, sol.bound_flips, sol.degenerate_pivots,
+                                     sol.bland, sol.kernel_max)
         assert all(r[key] > 0 for key in ("grid_s", "build_s", "solve_s"))
 
 
@@ -319,3 +318,16 @@ def test_tiny_epsilon_exits_2_without_building_the_grid(
     assert out == ""
     assert err.startswith("error:")
     assert "epsilon = 1e-17" in err
+
+
+@pytest.mark.parametrize("objective", ["completion", "tardiness"])
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5", "nan"])
+def test_bad_alpha_override_exits_2_before_the_lp(objective, alpha, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.json"
+    save(generate(11, 3, 2, GeneratorConfig(objective=Objective(objective), edge_density=0.4)), path)
+    monkeypatch.setattr(lp, "build_lp", _unreachable)
+    rc, out, err = run_cli(capsys, "solve", str(path), "--alpha", alpha)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "alpha must lie in (0, 1)" in err

@@ -18,9 +18,8 @@ from energysched import (
 )
 from energysched.instance import GeneratorConfig, generate
 from energysched.lp import build_lp, constraint_arrays, start_basis
-from energysched.simplex import solve
 
-from helpers import interval_of, reference_list_schedule
+from helpers import highs_objective, interval_of, reference_list_schedule
 
 
 def one_job_instance():
@@ -338,13 +337,12 @@ def test_start_is_a_feasible_non_singular_basis(family):
         B = np.diag(np.where(np.asarray(senses) == ">=", -1.0, 1.0))
         B[:, :n] = A[:, start[:n]]
         assert np.linalg.matrix_rank(B) == len(B)
-        assert solve_lp(model).phase1_iterations == 0
+        solve_lp(model)          # the simplex accepts it: a bad start raises ValueError
 
 
 @pytest.mark.parametrize("family", START_FAMILIES)
 def test_start_reaches_the_crash_start_optimum(family):
+    # the optimum any start reaches, taken from HiGHS
     for _, _, model in _start_cases(family):
-        A, senses, b = constraint_arrays(model)
-        crash = solve(model.objective, A, senses, b, upper=model.upper)
-        assert crash.status == "optimal" and crash.phase1_iterations > 0
-        assert solve_lp(model).objective == pytest.approx(crash.objective, rel=1e-9, abs=0.0)
+        expected = highs_objective(model)
+        assert solve_lp(model).objective == pytest.approx(expected, rel=1e-9, abs=0.0)
