@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import platform
@@ -149,12 +150,15 @@ def cmd_perf(args) -> int:
             t2 = time.perf_counter()
             sol = lp.solve_lp(model)
             t3 = time.perf_counter()
+            text = lp.lp_dump(model)
+            t4 = time.perf_counter()
             rows.append({
                 "seed": seed, "n": n, "m": 3, "rows": len(model.rows), "cols": model.ncols,
                 "iterations": sol.iterations,
                 "bound_flips": sol.bound_flips, "degenerate_pivots": sol.degenerate_pivots,
                 "bland": sol.bland, "kernel_max": sol.kernel_max, "objective": sol.objective,
                 "grid_s": t1 - t0, "build_s": t2 - t1, "solve_s": t3 - t2,
+                "dump_s": t4 - t3, "dump_bytes": len(text.encode()),
             })
     env = {
         "python": platform.python_version(), "numpy": np.__version__,
@@ -168,7 +172,9 @@ def cmd_perf(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="energysched",
         description="Energy-aware single-machine scheduling via LP rounding",
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lpdump)
 
-    p = sub.add_parser("perf", help="time grid, LP build and LP solve at fixed seeds and sizes")
+    p = sub.add_parser("perf", help="time grid, LP build, solve and dump at fixed seeds and sizes")
     p.add_argument("--out", required=True, help="JSON record to write, BENCH_<tag>.json")
     p.set_defaults(func=cmd_perf)
 

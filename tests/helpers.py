@@ -67,6 +67,31 @@ def highs_objective(model):
     return ref.fun
 
 
+def reference_lp_dump(model):
+    """The text ``lp.lp_dump`` must give byte for byte: one f-string per term."""
+    m, T = model.index.m, model.index.T
+    names = [
+        f"x_{job.id}_{j}_{t}"
+        for job in model.instance.jobs for j in range(1, m + 1) for t in range(1, T + 1)
+    ]
+    lines = ["minimize"]
+    terms = [
+        f"{v:+.12g} {names[c]}" for c, v in enumerate(model.objective.tolist()) if v != 0.0
+    ]
+    lines.append("  " + " ".join(terms))
+    lines.append("subject to")
+    for row in model.rows:
+        label = row.kind + "_" + "_".join(str(k) for k in row.key)
+        body = " ".join(
+            f"{v:+.12g} {names[c]}" for c, v in zip(row.cols.tolist(), row.vals.tolist())
+        )
+        lines.append(f"  {label}: {body} {row.sense} {row.rhs:.12g}")
+    lines.append("bounds")
+    for name, hi in zip(names, model.upper.tolist()):
+        lines.append(f"  0 <= {name} <= {hi:.12g}")
+    return "\n".join(lines) + "\n"
+
+
 def random_box_lp(rng, nvars=4, nrows=4):
     """Random bounded-feasible LP: A x <= b with b >= 0, finite box."""
     c = rng.uniform(-2, 2, nvars)

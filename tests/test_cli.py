@@ -13,6 +13,7 @@ from energysched.instance import (
     PrecedenceDag,
     SpeedSet,
     generate,
+    load,
     save,
     to_dict,
 )
@@ -37,6 +38,28 @@ def test_gen_stdout_roundtrips(capsys):
     data = json.loads(out)
     assert len(data["jobs"]) == 4
     assert len(data["speeds"]) == 2
+
+
+def _help(capsys, parse, *argv):
+    with pytest.raises(SystemExit) as stop:
+        parse([*argv, "--help"])
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call_in_a_process(inst_path, capsys):
+    fresh = cli.build_parser.__wrapped__().parse_args      # built anew, not the cached one
+    expected = {argv: _help(capsys, fresh, *argv) for argv in [(), ("gen",), ("lp-dump",)]}
+    rc, out, _ = run_cli(capsys, "gen", "--seed", "3", "--n", "4", "--m", "2", "--rho-max", "5")
+    assert rc == 0 and json.loads(out) == to_dict(generate(3, 4, 2, GeneratorConfig(rho_max=5)))
+    rc, out, _ = run_cli(capsys, "lp-dump", inst_path)
+    inst = load(inst_path)
+    assert rc == 0 and out == lp.lp_dump(lp.build_lp(inst, timegrid.build_grid(inst)))
+    rc, out, _ = run_cli(capsys, "gen", "--seed", "3", "--n", "4", "--m", "2")   # defaults again
+    assert rc == 0 and json.loads(out) == to_dict(generate(3, 4, 2, GeneratorConfig()))
+    assert cli.build_parser() is cli.build_parser()
+    for argv, text in expected.items():
+        assert _help(capsys, cli.main, *argv) == text
 
 
 def test_gen_is_seed_deterministic(capsys):
@@ -197,7 +220,8 @@ def test_perf_records_each_seed_and_size(tmp_path, capsys, monkeypatch):
         assert (r["iterations"], r["bound_flips"], r["degenerate_pivots"], r["bland"],
                 r["kernel_max"]) == (sol.iterations, sol.bound_flips, sol.degenerate_pivots,
                                      sol.bland, sol.kernel_max)
-        assert all(r[key] > 0 for key in ("grid_s", "build_s", "solve_s"))
+        assert all(r[key] > 0 for key in ("grid_s", "build_s", "solve_s", "dump_s", "dump_bytes"))
+        assert r["dump_bytes"] == len(lp.lp_dump(model).encode())
 
 
 def test_missing_instance_file_exit_code(capsys):

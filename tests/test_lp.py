@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from energysched import (
 from energysched.instance import GeneratorConfig, generate
 from energysched.lp import build_lp, constraint_arrays, start_basis
 
-from helpers import highs_objective, interval_of, reference_list_schedule
+from helpers import highs_objective, interval_of, reference_list_schedule, reference_lp_dump
 
 
 def one_job_instance():
@@ -346,3 +348,40 @@ def test_start_reaches_the_crash_start_optimum(family):
     for _, _, model in _start_cases(family):
         expected = highs_objective(model)
         assert solve_lp(model).objective == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+def _edge_value_model():
+    """An n = 2, m = 2 model whose hand-built rows carry 0.0, -0.0, two values
+    equal to 12 significant digits, and leave column 0 in no row."""
+    inst = generate(2, 2, 2, GeneratorConfig(edge_density=1.0))
+    model = build_lp(inst, build_grid(inst))
+    near = 0.1234567890123
+    rows = (
+        es.lp.Row("assign", (1,), np.array([1, 2, 3]), np.array([0.0, -0.0, 1.0]), "=", 1.0),
+        es.lp.Row("capacity", (1,), np.array([1, 2, 1]), np.array([near, near + 1e-14, -0.0]),
+                  "<=", near),
+        es.lp.Row("prec", (1, 2, 1), np.array([3, 2, 3]), np.array([near, 0.0, -1.0]), ">=", -0.0),
+    )
+    upper = model.upper.copy()
+    upper[:3] = [-0.0, 0.5, near]
+    assert model.ncols > 4
+    return dataclasses.replace(model, rows=rows, upper=upper)
+
+
+def _dump_models(case):
+    if case in START_FAMILIES:
+        return [model for _, _, model in _start_cases(case)]
+    if case == "edge-values":
+        return [_edge_value_model()]
+    kind = case.removeprefix("n40-")
+    return [
+        build_lp(inst, build_grid(inst))
+        for inst in (generate(seed, 40, 3, GeneratorConfig(edge_density=0.3, energy_kind=kind))
+                     for seed in range(2))
+    ]
+
+
+@pytest.mark.parametrize("case", [*START_FAMILIES, "n40-poly", "n40-table", "edge-values"])
+def test_lp_dump_is_byte_identical_to_the_reference(case):
+    for model in _dump_models(case):
+        assert lp_dump(model) == reference_lp_dump(model)
