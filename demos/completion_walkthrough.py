@@ -30,7 +30,7 @@ print(f"kappa = {grid.kappa:.4g}, T = {grid.T} intervals, "
 print("interval upper bounds:", [round(u, 3) for u in grid.tau[1:]])
 
 print("\n== LP relaxation ==")
-model = es.build_completion_lp(inst, grid)
+model = es.build_lp(inst, grid)
 print(f"{model.ncols} variables x_ijt, {len(model.rows)} rows "
       f"(assignment + machine capacity + precedence dominance)")
 sol = es.solve_lp(model)

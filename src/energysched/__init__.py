@@ -31,8 +31,7 @@ from .instance import (
 )
 from .lp import (
     InfeasibleHorizonError,
-    build_completion_lp,
-    build_tardiness_lp,
+    build_lp,
     lp_dump,
     solve_lp,
 )

@@ -15,9 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-#: Speed multipliers probed by the growth-regularity check.
-PROBE_GAMMAS = (1.0, 1.25, 1.5, 2.0, 4.0, 8.0)
-
 
 @dataclass(frozen=True)
 class PolynomialEnergy:
@@ -70,8 +67,6 @@ class ConvexEnvelope:
         k = bisect_right(self.speeds, speed)
         if k >= len(self.speeds):
             k = len(self.speeds) - 1
-        if k == 0:
-            k = 1
         s0, s1 = self.speeds[k - 1], self.speeds[k]
         c0, c1 = self.values[k - 1], self.values[k]
         lam = (speed - s0) / (s1 - s0)
@@ -122,41 +117,27 @@ def cost_at(
     return convexify(energy.costs, speeds).value_at(speed)
 
 
-def check_assumption1(
-    energy: EnergyCostDescriptor,
-    beta: float,
-    speeds: Sequence[float],
-    probe_gammas: Sequence[float] = PROBE_GAMMAS,
-) -> bool:
+def check_assumption1(energy: EnergyCostDescriptor, beta: float, speeds: Sequence[float]) -> bool:
     """Check the growth-regularity condition cost(g*s) <= g**(beta-1) * cost(s).
 
-    For the polynomial variant the condition holds analytically whenever the
-    descriptor's exponent is at most ``beta - 1``.  Table variants are probed
-    numerically on (grid speed, gamma) pairs, with ``gamma * s`` clipped to the
-    representable range.
+    It must hold for every g >= 1 and every s with s and g*s on the grid's
+    range, that is, cost(s) / s**(beta-1) must not increase there.  For the
+    polynomial variant that holds exactly when the descriptor's exponent is
+    at most ``beta``, or when there is one speed.  A table's lower convex
+    envelope is linear between grid speeds s_j < s_{j+1}; with its values
+    c_j, the ratio does not increase over that segment exactly when
+
+        (c_{j+1} - c_j) * s_j <= (beta - 1) * c_j * (s_{j+1} - s_j),
+
+    which is checked for every segment, to a relative 1e-9.
     """
     if isinstance(energy, PolynomialEnergy):
-        if energy.beta <= beta:
-            return True
-        # steeper growth than beta allows; still verify on the probe grid
-    env = None
-    if isinstance(energy, TableEnergy):
-        env = convexify(energy.costs, speeds)
-    s_max = speeds[-1]
-    for s in speeds:
-        base = cost_at(energy, 1.0, s, speeds) if env is None else env.value_at(s)
-        for g in probe_gammas:
-            if g < 1.0:
-                continue
-            target = min(g * s, s_max)
-            g_eff = target / s
-            if g_eff <= 1.0 + 1e-15:
-                continue
-            scaled = cost_at(energy, 1.0, target, speeds) if env is None else env.value_at(target)
-            bound = g_eff ** (beta - 1) * base
-            if scaled > bound * (1 + 1e-9) + 1e-12:
-                return False
-    return True
+        return energy.beta <= beta or len(speeds) == 1
+    c = convexify(energy.costs, speeds).values
+    return all(
+        (c1 - c0) * s0 <= (beta - 1) * c0 * (s1 - s0) * (1 + 1e-9) + 1e-12
+        for s0, s1, c0, c1 in zip(speeds, speeds[1:], c, c[1:])
+    )
 
 
 def quantize_speed_range(sigma_min: float, sigma_max: float, delta: float):

@@ -301,6 +301,13 @@ def to_dict(instance: Instance) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing a float with a fractional part rather than truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value}")
+    return int(value)
+
+
 def from_dict(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise ParseError("instance file must contain a JSON object")
@@ -311,6 +318,9 @@ def from_dict(data: dict) -> Instance:
     if missing:
         raise ParseError(f"missing fields {sorted(missing)}")
 
+    for name in ("jobs", "speeds", "edges"):
+        if not isinstance(data[name], list):
+            raise ParseError(f"field {name!r} must be a list, got {data[name]!r}")
     jobs = []
     for k, jd in enumerate(data["jobs"]):
         if not isinstance(jd, dict):
@@ -325,13 +335,10 @@ def from_dict(data: dict) -> Instance:
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"jobs[{k}]: field {name!r}: {exc}") from exc
 
-        rho = jd.get("rho")
-        if isinstance(rho, float) and not rho.is_integer():
-            raise ParseError(f"jobs[{k}]: field 'rho' must be an integer, got {rho}")
         jobs.append(
             Job(
-                id=conv("id", int),
-                rho=conv("rho", int),
+                id=conv("id", _integer),
+                rho=conv("rho", _integer),
                 weight=conv("weight", float),
                 release=conv("release", float, 0.0),
                 deadline=conv("deadline", float, 0.0),
@@ -345,10 +352,14 @@ def from_dict(data: dict) -> Instance:
         raise ParseError(f"field 'objective' must be one of "
                          f"{[o.value for o in Objective]}: {exc}") from exc
     try:
+        edges = tuple((_integer(a), _integer(b)) for a, b in data["edges"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"field 'edges': {exc}") from exc
+    try:
         instance = Instance(
             jobs=tuple(jobs),
             speedset=SpeedSet(tuple(float(s) for s in data["speeds"]), float(data["delta"])),
-            precedence=PrecedenceDag(tuple((int(a), int(b)) for a, b in data["edges"])),
+            precedence=PrecedenceDag(edges),
             objective=objective,
             alpha=float(data["alpha"]),
             epsilon=float(data["epsilon"]),

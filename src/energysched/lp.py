@@ -117,7 +117,11 @@ class LpSolution:
         return np.einsum("ijt,t->i", self.x, lowers)
 
 
-def _build(instance: Instance, grid: TimeGrid, tardiness: bool) -> LpModel:
+def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
+    """The relaxation of ``instance`` on ``grid``, for the instance's objective."""
+    tardiness = instance.objective is Objective.TARDINESS
+    if tardiness and instance.has_releases:
+        raise ValueError("tardiness formulation does not support release dates")
     n, m, T = instance.n, instance.speedset.m, grid.T
     index = VarIndex(n, m, T)
     jobs = instance.jobs
@@ -164,26 +168,6 @@ def _build(instance: Instance, grid: TimeGrid, tardiness: bool) -> LpModel:
             rows.append(Row("prec", (a, b, t), pair[:, :t].ravel(), signs[: 2 * m * t], ">=", 0.0))
 
     return LpModel(instance, grid, index, obj, upper, tuple(rows))
-
-
-def build_completion_lp(instance: Instance, grid: TimeGrid) -> LpModel:
-    if instance.objective is not Objective.COMPLETION_TIME:
-        raise ValueError("instance objective is not weighted completion time")
-    return _build(instance, grid, tardiness=False)
-
-
-def build_tardiness_lp(instance: Instance, grid: TimeGrid) -> LpModel:
-    if instance.objective is not Objective.TARDINESS:
-        raise ValueError("instance objective is not weighted tardiness")
-    if instance.has_releases:
-        raise ValueError("tardiness formulation does not support release dates")
-    return _build(instance, grid, tardiness=True)
-
-
-def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
-    if instance.objective is Objective.TARDINESS:
-        return build_tardiness_lp(instance, grid)
-    return build_completion_lp(instance, grid)
 
 
 def _flat_rows(rows):

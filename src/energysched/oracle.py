@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, Objective
-from .rounding import Schedule, assemble
+from .rounding import assemble
 
 #: most speed combinations (m**n) ``brute_force`` may enumerate per order
 MAX_SPEED_COMBOS = 2 ** 20
@@ -42,9 +42,6 @@ class ExactResult:
     cost: float
     order: tuple
     speed: dict              # job id -> grid speed
-
-    def schedule(self, instance: Instance) -> Schedule:
-        return assemble(instance, self.order, self.speed)
 
 
 class SizeCapError(ValueError):

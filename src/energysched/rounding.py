@@ -8,11 +8,12 @@ expected reciprocal speed under that pmf.  Jobs are sequenced by their alpha
 intervals (topological, lowest-id-first inside a bucket) and run back to back
 at grid speeds obtained by rounding the target speeds.
 
-``saias`` handles the weighted completion time objective (round the target
-speed down, or sideways to the cheaper adjacent grid speed for tabulated
-costs).  ``saias_t`` handles weighted tardiness: target speeds are scaled up
-by ``gamma = (1 + epsilon) / (alpha * (1 - alpha))`` and rounded up, which
-keeps every job that is on time in the relaxation on time in the schedule.
+``saias`` handles the weighted completion time objective: each target speed
+goes to the cheaper of its two adjacent grid speeds, the lower one on a tie,
+so a cost rising with speed (every polynomial cost) rounds down.  ``saias_t``
+handles weighted tardiness: target speeds are scaled up by
+``gamma = (1 + epsilon) / (alpha * (1 - alpha))`` and rounded up, which keeps
+every job that is on time in the relaxation on time in the schedule.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import energy as energy_mod
 from . import evaluate
 from .instance import Instance, Objective, SpeedSet, priority_order
 from .lp import LpSolution
@@ -139,23 +139,7 @@ def order_jobs(taus, precedence, job_ids) -> list:
             )
     # with no interval inverted, this is the interval buckets in order, each
     # in topological order with the lowest id first
-    order = priority_order(job_ids, precedence.edges, key=tau_of.__getitem__)
-    pos = {jid: k for k, jid in enumerate(order)}
-    for a, b in precedence.edges:
-        if pos[a] > pos[b]:
-            raise PrecedenceOrderError(f"edge {a} -> {b} violated by order {order}")
-    return order
-
-
-def round_speed_down(speed: float, speedset: SpeedSet) -> float:
-    """Largest grid speed <= the target (the target is never below sigma_1)."""
-    best = None
-    for s in speedset.speeds:
-        if s <= speed * (1 + 1e-12):
-            best = s
-    if best is None:
-        raise ValueError(f"target speed {speed} below sigma_1 = {speedset.min}")
-    return best
+    return priority_order(job_ids, precedence.edges, key=tau_of.__getitem__)
 
 
 def round_speed_up(speed: float, speedset: SpeedSet) -> float:
@@ -173,13 +157,16 @@ def round_speed_energy_aware(speed: float, speedset: SpeedSet, grid_costs) -> fl
 
     ``grid_costs`` are the job's (envelope) costs at each grid speed; cost is
     linear between adjacent grid speeds, so one endpoint is never worse than
-    the interior point.
+    the interior point.  A tie goes to the lower speed.  The target is never
+    below sigma_1: it is a harmonic mean of grid speeds.
     """
     speeds = speedset.speeds
-    lo_idx = 0
+    lo_idx = None
     for j, s in enumerate(speeds):
         if s <= speed * (1 + 1e-12):
             lo_idx = j
+    if lo_idx is None:
+        raise ValueError(f"target speed {speed} below sigma_1 = {speedset.min}")
     if abs(speeds[lo_idx] - speed) <= 1e-12 * speed or lo_idx == len(speeds) - 1:
         return speeds[lo_idx]
     return speeds[lo_idx] if grid_costs[lo_idx] <= grid_costs[lo_idx + 1] else speeds[lo_idx + 1]
@@ -217,32 +204,32 @@ def assemble(instance: Instance, order, speed_by_id) -> Schedule:
         start[jid] = max(job.release, prev)
         completion[jid] = start[jid] + job.rho / speed_by_id[jid]
         prev = completion[jid]
-    sched = Schedule(
-        order=tuple(order),
-        speed=dict(speed_by_id),
-        start=start,
-        completion=completion,
-        breakdown=None,
-    )
-    breakdown = evaluate.cost(instance, sched)
-    return Schedule(sched.order, sched.speed, sched.start, sched.completion, breakdown)
+    sched = Schedule(tuple(order), dict(speed_by_id), start, completion, breakdown=None)
+    # evaluate.cost reads every field but the breakdown, which it then fills
+    object.__setattr__(sched, "breakdown", evaluate.cost(instance, sched))
+    return sched
+
+
+def _round(instance: Instance, solution: LpSolution, alpha: float, grid_speed) -> Schedule:
+    """Order the jobs by alpha interval and run each at
+    ``grid_speed(alpha speed, the job's grid costs)``."""
+    data = compute_alpha_data(solution, instance, alpha)
+    order = order_jobs([d.interval for d in data], instance.precedence,
+                       [j.id for j in instance.jobs])
+    speed_by_id = {
+        job.id: grid_speed(d.speed, costs)
+        for job, d, costs in zip(instance.jobs, data, instance.energy_costs)
+    }
+    return assemble(instance, order, speed_by_id)
 
 
 def saias(instance: Instance, solution: LpSolution, alpha: float | None = None) -> Schedule:
     """Weighted-completion-time rounding of the LP relaxation solution."""
     if instance.objective is not Objective.COMPLETION_TIME:
         raise ValueError("saias requires the completion-time objective")
-    a = instance.alpha if alpha is None else alpha
-    data = compute_alpha_data(solution, instance, a)
-    order = order_jobs([d.interval for d in data], instance.precedence,
-                       [j.id for j in instance.jobs])
-    speed_by_id = {}
-    for job, d, costs in zip(instance.jobs, data, instance.energy_costs):
-        if isinstance(job.energy, energy_mod.TableEnergy):
-            speed_by_id[job.id] = round_speed_energy_aware(d.speed, instance.speedset, costs)
-        else:
-            speed_by_id[job.id] = round_speed_down(d.speed, instance.speedset)
-    return assemble(instance, order, speed_by_id)
+    ss = instance.speedset
+    return _round(instance, solution, instance.alpha if alpha is None else alpha,
+                  lambda speed, costs: round_speed_energy_aware(speed, ss, costs))
 
 
 def saias_t(instance: Instance, solution: LpSolution, alpha: float | None = None) -> Schedule:
@@ -252,12 +239,5 @@ def saias_t(instance: Instance, solution: LpSolution, alpha: float | None = None
     if instance.has_releases:
         raise ValueError("saias_t does not support release dates")
     a = instance.alpha if alpha is None else alpha
-    gamma = tardiness_gamma(instance, a)
-    data = compute_alpha_data(solution, instance, a)
-    order = order_jobs([d.interval for d in data], instance.precedence,
-                       [j.id for j in instance.jobs])
-    speed_by_id = {
-        job.id: round_speed_up(gamma * d.speed, instance.speedset)
-        for job, d in zip(instance.jobs, data)
-    }
-    return assemble(instance, order, speed_by_id)
+    gamma, ss = tardiness_gamma(instance, a), instance.speedset
+    return _round(instance, solution, a, lambda speed, _: round_speed_up(gamma * speed, ss))

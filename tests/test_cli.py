@@ -238,6 +238,32 @@ def test_malformed_instance_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+BAD_TYPES = {
+    "jobs 5": (lambda d: d.update(jobs=5), "field 'jobs' must be a list"),
+    "jobs null": (lambda d: d.update(jobs=None), "field 'jobs' must be a list"),
+    "speeds string": (lambda d: d.update(speeds="12"), "field 'speeds' must be a list"),
+    "id 1.5": (lambda d: d["jobs"][0].update(id=1.5), "field 'id': must be an integer, got 1.5"),
+    "rho 1.5": (lambda d: d["jobs"][0].update(rho=1.5), "field 'rho': must be an integer, got 1.5"),
+    "edge end 1.5": (lambda d: d.update(edges=[[1.5, 2]]),
+                     "field 'edges': must be an integer, got 1.5"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "lp-dump"])
+@pytest.mark.parametrize("case", BAD_TYPES)
+def test_bad_field_type_exits_2_naming_the_field(case, command, tmp_path, capsys):
+    edit, message = BAD_TYPES[case]
+    data = to_dict(generate(11, 3, 2, GeneratorConfig(edge_density=0.4)))
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, command, str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert message in err
+
+
 def test_corrupt_lp_solution_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "chain.json"
     save(Instance(jobs=(Job(1, 1, 1.0), Job(2, 1, 1.0)), speedset=SpeedSet((1.0,), 1.0),

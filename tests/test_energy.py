@@ -11,7 +11,8 @@ from energysched import (
     quantize_speed_range,
     validate,
 )
-from energysched.instance import Instance, Job, SpeedSet
+from energysched.instance import Instance, Job, Objective, SpeedSet
+from energysched.pipeline import AssumptionError, run
 
 
 def test_polynomial_cost_direct():
@@ -95,6 +96,62 @@ def test_assumption1_constant_table_holds():
 def test_assumption1_cost_jump_fails():
     speeds = (1.0, 1.1, 1.21)
     assert not check_assumption1(TableEnergy((1.0, 1.0, 100.0)), 2.0, speeds)
+
+
+def test_assumption1_polynomial_steeper_exponent_holds_on_one_speed():
+    assert check_assumption1(PolynomialEnergy(1.0, 5.0), 2.0, (1.5,))
+    assert not check_assumption1(PolynomialEnergy(1.0, 2.0 + 1e-6), 2.0, (1.0, 1.0001))
+
+
+#: cost(1.1) = 1.22 > 1.1**2 * cost(1) = 1.21 at beta = 3; the two speeds differ
+#: by a factor of 1.1, which lies between multipliers a sampled check would try
+PROBE_GAP_SPEEDS = (1.0, 1.1, 1.25, 2.5, 5.0, 7.5)
+PROBE_GAP_COSTS = (1.0, 1.22, 1.555, 4.5, 12.0, 20.0)
+
+
+def test_assumption1_catches_a_violation_between_sampled_multipliers():
+    assert not check_assumption1(TableEnergy(PROBE_GAP_COSTS), 3.0, PROBE_GAP_SPEEDS)
+    inst = Instance(
+        jobs=(Job(1, 1, 1.0, deadline=2.0, energy=TableEnergy(PROBE_GAP_COSTS)),
+              Job(2, 1, 1.0, deadline=3.0)),
+        speedset=SpeedSet(PROBE_GAP_SPEEDS, 1.0),
+        objective=Objective.TARDINESS,
+        beta=3.0,
+    )
+    assert validate(inst) == []
+    with pytest.raises(AssumptionError, match="job 1"):
+        run(inst)       # no theoretical_bound for a run whose assumption fails
+
+
+def _holds_just_right_of_each_speed(costs, beta, speeds, step=1e-6):
+    """cost(g*s) <= g**(beta-1) * cost(s) at g = 1 + step, at every grid speed but the last.
+
+    On each envelope segment, (beta - 1) * cost(x) - x * cost'(x) is smallest
+    at the segment's left end when beta >= 2 (or the segment falls, and then it
+    is positive), so a violation anywhere shows just right of a grid speed.
+    """
+    env = convexify(costs, speeds)
+    g = 1 + step
+    return all(env.value_at(s * g) <= g ** (beta - 1) * env.value_at(s) for s in speeds[:-1])
+
+
+@pytest.mark.parametrize("beta", [2.0, 2.5, 3.0, 4.0])
+def test_assumption1_on_tables_matches_a_direct_check(beta):
+    rng = np.random.default_rng(int(beta * 10))
+    verdicts = []
+    for _ in range(150):
+        m = int(rng.integers(2, 7))
+        speeds = tuple(np.cumprod(np.r_[1.0, 1 + rng.uniform(0.05, 1.0, m - 1)]).tolist())
+        # each step within 0.3 to 1.3 times the largest rise the condition allows
+        costs = [float(rng.uniform(0.5, 2.0))]
+        for s0, s1 in zip(speeds, speeds[1:]):
+            costs.append(costs[-1] * (1 + (beta - 1) * (s1 / s0 - 1) * rng.uniform(0.3, 1.3)))
+        if m > 2 and rng.random() < 0.3:
+            costs[int(rng.integers(1, m - 1))] *= 1.5    # above the chord: the envelope differs
+        verdict = check_assumption1(TableEnergy(tuple(costs)), beta, speeds)
+        assert verdict == _holds_just_right_of_each_speed(costs, beta, speeds)
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)     # both verdicts are exercised
 
 
 def test_quantize_degenerate_range():

@@ -89,6 +89,13 @@ def test_precedence_violation_reported():
     assert any("precedence" in msg for msg in check_feasible(inst, sched))
 
 
+def test_order_missing_a_job_reported():
+    inst = Instance(jobs=(Job(1, 1, 1.0), Job(2, 1, 1.0)), speedset=SpeedSet((1.0,), 1.0))
+    sched = Schedule(order=(1,), speed={1: 1.0}, start={1: 0.0}, completion={1: 1.0},
+                     breakdown=None)
+    assert check_feasible(inst, sched) == ["order (1,) is not a permutation of the jobs"]
+
+
 def test_off_grid_speed_reported():
     inst = simple_instance()
     sched = assemble(inst, [1], {1: 1.0})
@@ -115,7 +122,7 @@ def test_algorithm_outputs_always_pass_checker():
 def test_oracle_cost_matches_shared_evaluator_bit_for_bit():
     inst = generate(8, 4, 2, GeneratorConfig(edge_density=0.3))
     exact = es.brute_force(inst)
-    assert cost(inst, exact.schedule(inst)).total == exact.cost
+    assert cost(inst, assemble(inst, exact.order, exact.speed)).total == exact.cost
 
 
 def test_uniform_speedup_never_increases_tardiness():

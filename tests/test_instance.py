@@ -70,6 +70,30 @@ def test_tardiness_with_releases_rejected():
     assert any("release" in msg for msg in validate(inst))
 
 
+#: one invalid field per case, on an otherwise valid one-job instance
+INVALID = {
+    "instance has no jobs": dict(jobs=()),
+    "job ids are not unique": dict(jobs=(Job(1, 1, 1.0), Job(1, 2, 1.0))),
+    "job 1: release must be non-negative": dict(jobs=(Job(1, 1, 1.0, release=-1.0),)),
+    "job 1: deadline must be non-negative": dict(jobs=(Job(1, 1, 1.0, deadline=-1.0),)),
+    "job 1: table energy has 2 entries for 1 speeds":
+        dict(jobs=(Job(1, 1, 1.0, energy=TableEnergy((1.0, 2.0))),)),
+    "speed set is empty": dict(speedset=SpeedSet((), 0.5)),
+    "all speeds must be positive": dict(speedset=SpeedSet((0.0, 1.0), 0.5)),
+    "speeds must be strictly increasing": dict(speedset=SpeedSet((1.0, 1.0), 0.5)),
+    "delta must be positive": dict(speedset=SpeedSet((1.0,), 0.0)),
+    "precedence edge (1, 9) references unknown job id": dict(precedence=PrecedenceDag(((1, 9),))),
+    "epsilon must be positive": dict(epsilon=0.0),
+    "beta must be >= 2": dict(beta=1.5),
+}
+
+
+@pytest.mark.parametrize("message", INVALID)
+def test_validate_names_each_invalid_field(message):
+    report = validate(minimal_instance(**INVALID[message]))
+    assert any(msg.startswith(message) for msg in report), report
+
+
 def test_roundtrip_identity(tmp_path):
     inst = Instance(
         jobs=(

@@ -12,9 +12,7 @@ from energysched import (
     PolynomialEnergy,
     PrecedenceDag,
     SpeedSet,
-    build_completion_lp,
     build_grid,
-    build_tardiness_lp,
     lp_dump,
     solve_lp,
 )
@@ -35,7 +33,7 @@ def one_job_instance():
 def test_single_column_coefficient():
     inst = one_job_instance()
     grid = build_grid(inst)
-    model = build_completion_lp(inst, grid)
+    model = build_lp(inst, grid)
     # energy 1*1*1 + weight * kappa = 2
     assert model.objective[model.index.col(0, 0, 1)] == pytest.approx(2.0)
 
@@ -51,7 +49,7 @@ def test_release_beyond_horizon_fails_early():
     import dataclasses
     small = dataclasses.replace(grid, tau=grid.tau[:3])
     with pytest.raises(InfeasibleHorizonError, match="job 2"):
-        build_completion_lp(inst, small)
+        build_lp(inst, small)
 
 
 def _kept_prec_rows(inst, grid):
@@ -85,7 +83,7 @@ def _kept_prec_rows(inst, grid):
 def test_row_and_column_counts():
     inst = generate(3, 4, 2, GeneratorConfig(edge_density=0.5))
     grid = build_grid(inst)
-    model = build_completion_lp(inst, grid)
+    model = build_lp(inst, grid)
     n, m, T = inst.n, inst.speedset.m, grid.T
     kept = _kept_prec_rows(inst, grid)
     assert model.ncols == n * m * T
@@ -133,7 +131,7 @@ def test_fixed_zero_columns_marked_not_deleted():
         epsilon=0.5,
     )
     grid = build_grid(inst)
-    model = build_completion_lp(inst, grid)
+    model = build_lp(inst, grid)
     assert model.ncols == 2 * grid.T  # dense indexing retained
     c_early = model.index.col(0, 0, 1)
     assert model.upper[c_early] == 0.0  # tau_1 = kappa < r + rho/sigma_1
@@ -146,8 +144,8 @@ def test_tardiness_rejects_releases():
         objective=Objective.TARDINESS,
     )
     grid = build_grid(inst)
-    with pytest.raises(ValueError):
-        build_tardiness_lp(inst, grid)
+    with pytest.raises(ValueError, match="does not support release dates"):
+        build_lp(inst, grid)
 
 
 def test_tardiness_coefficient_with_deadline_at_kappa():
@@ -158,7 +156,7 @@ def test_tardiness_coefficient_with_deadline_at_kappa():
         epsilon=1.0,
     )
     grid = build_grid(inst)
-    model = build_tardiness_lp(inst, grid)
+    model = build_lp(inst, grid)
     # tardiness term (kappa - d)^+ = 0 at t=1, so energy only
     assert model.objective[model.index.col(0, 0, 1)] == pytest.approx(1.0)
 
@@ -169,7 +167,7 @@ def test_huge_deadline_zeroes_tardiness_terms():
     jobs = tuple(dataclasses.replace(j, deadline=1e9) for j in inst.jobs)
     inst = dataclasses.replace(inst, jobs=jobs)
     grid = build_grid(inst)
-    model = build_tardiness_lp(inst, grid)
+    model = build_lp(inst, grid)
     for i, job in enumerate(inst.jobs):
         speeds = inst.speedset.speeds
         e = [es.cost_at(job.energy, job.rho, s, speeds) for s in speeds]
@@ -184,9 +182,9 @@ def test_zero_deadline_matches_completion_coefficients():
     jobs = tuple(dataclasses.replace(j, deadline=0.0) for j in inst.jobs)
     tardy = dataclasses.replace(inst, jobs=jobs)
     grid = build_grid(tardy)
-    m_t = build_tardiness_lp(tardy, grid)
+    m_t = build_lp(tardy, grid)
     comp = dataclasses.replace(tardy, objective=Objective.COMPLETION_TIME)
-    m_c = build_completion_lp(comp, grid)
+    m_c = build_lp(comp, grid)
     assert np.allclose(m_t.objective, m_c.objective)
 
 
@@ -194,7 +192,7 @@ def test_zero_deadline_matches_completion_coefficients():
 def test_lower_bound_chain_small(seed):
     inst = generate(seed, 1 + seed % 4, 1 + seed % 3, GeneratorConfig(edge_density=0.4))
     grid = build_grid(inst)
-    sol = solve_lp(build_completion_lp(inst, grid))
+    sol = solve_lp(build_lp(inst, grid))
     opt = es.brute_force(inst)
     sched = es.saias(inst, sol)
     assert sol.objective <= opt.cost * (1 + 1e-6)
@@ -206,16 +204,16 @@ def test_dropping_precedence_rows_never_raises_bound():
     inst = generate(17, 4, 2, GeneratorConfig(edge_density=0.8))
     assert inst.precedence.edges
     grid = build_grid(inst)
-    with_edges = solve_lp(build_completion_lp(inst, grid)).objective
+    with_edges = solve_lp(build_lp(inst, grid)).objective
     free = dataclasses.replace(inst, precedence=es.PrecedenceDag(()))
-    without = solve_lp(build_completion_lp(free, grid)).objective
+    without = solve_lp(build_lp(free, grid)).objective
     assert without <= with_edges + 1e-9
 
 
 def test_single_job_bound_is_exact_column_cost():
     inst = one_job_instance()
     grid = build_grid(inst)
-    model = build_completion_lp(inst, grid)
+    model = build_lp(inst, grid)
     sol = solve_lp(model)
     t_star = int(np.argmax(sol.x[0].sum(axis=0))) + 1
     expected = 1.0 + 1.0 * grid.lower(t_star)
@@ -225,7 +223,7 @@ def test_single_job_bound_is_exact_column_cost():
 def test_solution_feasibility_certified():
     inst = generate(21, 5, 3, GeneratorConfig(edge_density=0.3, release_max=3.0))
     grid = build_grid(inst)
-    sol = solve_lp(build_completion_lp(inst, grid))
+    sol = solve_lp(build_lp(inst, grid))
     assert np.all(sol.x >= -1e-9)
     assert np.allclose(sol.x.sum(axis=(1, 2)), 1.0, atol=1e-7)
 
@@ -275,7 +273,7 @@ def test_max_residual_matches_row_loop(seed):
 def test_lp_dump_contains_named_columns_and_rows():
     inst = generate(2, 2, 2, GeneratorConfig(edge_density=1.0))
     grid = build_grid(inst)
-    model = build_completion_lp(inst, grid)
+    model = build_lp(inst, grid)
     text = lp_dump(model)
     assert "minimize" in text
     assert "x_1_1_1" in text

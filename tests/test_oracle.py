@@ -19,6 +19,7 @@ from energysched.energy import TableEnergy
 from energysched.instance import GeneratorConfig, generate
 from energysched import lp, oracle, run
 from energysched.oracle import SizeCapError, _feasible_permutations
+from energysched.rounding import assemble
 from helpers import reference_brute_force
 
 
@@ -40,7 +41,7 @@ def test_identical_jobs_cost_is_order_independent():
         speedset=SpeedSet((1.0, 1.8), 1.0),
     )
     res = brute_force(inst)
-    swapped = res.schedule(inst)
+    swapped = assemble(inst, res.order, res.speed)
     assert swapped.breakdown.total == pytest.approx(res.cost)
 
 
@@ -161,7 +162,7 @@ def test_brute_force_dominates_lp_bound():
     for seed in range(6):
         inst = generate(seed + 50, 1 + seed % 4, 2, GeneratorConfig(edge_density=0.3))
         grid = es.build_grid(inst)
-        sol = es.solve_lp(es.build_completion_lp(inst, grid))
+        sol = es.solve_lp(es.build_lp(inst, grid))
         assert es.brute_force(inst).cost >= sol.objective - 1e-6 * max(1, sol.objective)
 
 

@@ -21,7 +21,6 @@ from energysched.rounding import (
     check_speed_range,
     compute_alpha_data,
     order_jobs,
-    round_speed_down,
     round_speed_energy_aware,
     round_speed_up,
     saias,
@@ -122,18 +121,22 @@ def test_order_rejects_interval_inversion():
         order_jobs([2, 1], PrecedenceDag(((1, 2),)), [1, 2])
 
 
-def test_round_speed_down_cases():
+def test_round_energy_aware_rising_costs_round_down():
     ss = SpeedSet((1.0, 2.0), 1.0)
-    assert round_speed_down(4.0 / 3.0, ss) == 1.0
-    assert round_speed_down(2.0, ss) == 2.0
+    rising = [1.0, 2.0]
+    assert round_speed_energy_aware(4.0 / 3.0, ss, rising) == 1.0
+    assert round_speed_energy_aware(2.0, ss, rising) == 2.0
+    with pytest.raises(ValueError, match="below sigma_1"):
+        round_speed_energy_aware(0.5, ss, rising)
 
 
-def test_round_speed_down_within_delta():
+def test_round_energy_aware_rising_costs_within_delta():
     rng = np.random.default_rng(3)
     ss = SpeedSet((1.0, 1.4, 1.95, 2.7), 0.4)
+    rising = [es.cost_at(PolynomialEnergy(1.3, 3.0), 2, s) for s in ss.speeds]
     for _ in range(100):
         s = rng.uniform(ss.min, ss.max)
-        r = round_speed_down(s, ss)
+        r = round_speed_energy_aware(s, ss, rising)
         assert r <= s * (1 + 1e-12)
         assert r >= s / (1 + ss.delta) * (1 - 1e-12)
 
@@ -155,9 +158,7 @@ def test_round_energy_aware_prefers_cheaper_endpoint():
 
 def run_pipeline(inst):
     grid = es.build_grid(inst)
-    model = es.build_completion_lp(inst, grid) if inst.objective is Objective.COMPLETION_TIME \
-        else es.build_tardiness_lp(inst, grid)
-    return grid, es.solve_lp(model)
+    return grid, es.solve_lp(es.build_lp(inst, grid))
 
 
 def test_saias_single_job():

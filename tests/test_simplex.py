@@ -31,6 +31,17 @@ def test_unbounded_detected():
     assert res.status == "unbounded"
 
 
+def test_beale_cycling_lp_switches_to_blands_rule():
+    # Beale (1955): Dantzig's rule cycles on this LP from the slack basis
+    res = solve([-0.75, 20, -0.5, 6],
+                [[0.25, -8, -1, 9], [0.5, -12, -0.5, 3], [0, 0, 1, 0]],
+                ["<="] * 3, [0, 0, 1])
+    assert res.status == "optimal"
+    assert res.bland
+    assert res.objective == pytest.approx(-1.25)
+    assert res.x == pytest.approx([1.0, 0.0, 1.0, 0.0])
+
+
 def test_upper_bounds_respected():
     # min -x1 - x2 with x1 + x2 <= 10, x <= (1, 2)
     res = solve([-1.0, -1.0], [[1.0, 1.0]], ["<="], [10.0], upper=[1.0, 2.0])
