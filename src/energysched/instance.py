@@ -253,12 +253,14 @@ _TOP_FIELDS = {"jobs", "speeds", "delta", "edges", "objective", "alpha", "epsilo
 def _energy_from_dict(d, job_id) -> EnergyCostDescriptor:
     if not isinstance(d, dict) or "type" not in d:
         raise ParseError(f"job {job_id}: energy must be an object with a 'type' field")
+    where = f"job {job_id}: energy "
     if d["type"] == "poly":
         extra = set(d) - {"type", "v", "beta"}
         if extra:
             raise ParseError(f"job {job_id}: unknown energy fields {sorted(extra)}")
         try:
-            return PolynomialEnergy(float(d["v"]), float(d["beta"]))
+            return PolynomialEnergy(_field(where, "v", _real, d["v"]),
+                                    _field(where, "beta", _real, d["beta"]))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"job {job_id}: bad polynomial energy: {exc}") from exc
     if d["type"] == "table":
@@ -266,7 +268,8 @@ def _energy_from_dict(d, job_id) -> EnergyCostDescriptor:
         if extra:
             raise ParseError(f"job {job_id}: unknown energy fields {sorted(extra)}")
         try:
-            return TableEnergy(tuple(float(c) for c in d["costs"]))
+            return TableEnergy(tuple(_field(where, f"costs[{k}]", _real, c)
+                                     for k, c in enumerate(d["costs"])))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"job {job_id}: bad table energy: {exc}") from exc
     raise ParseError(f"job {job_id}: unknown energy type {d['type']!r}")
@@ -302,10 +305,26 @@ def to_dict(instance: Instance) -> dict:
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing a float with a fractional part rather than truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"must be an integer, got {value}")
+    """``int(value)``, refusing a float with a fractional part rather than truncating
+    it, and a boolean rather than reading it as 0 or 1."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {json.dumps(value)}")
     return int(value)
+
+
+def _real(value) -> float:
+    """``float(value)``, refusing a boolean rather than reading it as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _field(where: str, name: str, convert, value):
+    """``convert(value)``; a failure is a :class:`ParseError` naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}field {name!r}: {exc}") from exc
 
 
 def from_dict(data: dict) -> Instance:
@@ -329,19 +348,15 @@ def from_dict(data: dict) -> Instance:
         if extra:
             raise ParseError(f"jobs[{k}]: unknown fields {sorted(extra)}")
         def conv(name, fn, default=None):
-            value = jd.get(name, default)
-            try:
-                return fn(value)
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"jobs[{k}]: field {name!r}: {exc}") from exc
+            return _field(f"jobs[{k}]: ", name, fn, jd.get(name, default))
 
         jobs.append(
             Job(
                 id=conv("id", _integer),
                 rho=conv("rho", _integer),
-                weight=conv("weight", float),
-                release=conv("release", float, 0.0),
-                deadline=conv("deadline", float, 0.0),
+                weight=conv("weight", _real),
+                release=conv("release", _real, 0.0),
+                deadline=conv("deadline", _real, 0.0),
                 energy=_energy_from_dict(jd.get("energy"), jd.get("id", k)),
             )
         )
@@ -351,19 +366,20 @@ def from_dict(data: dict) -> Instance:
     except ValueError as exc:
         raise ParseError(f"field 'objective' must be one of "
                          f"{[o.value for o in Objective]}: {exc}") from exc
-    try:
-        edges = tuple((_integer(a), _integer(b)) for a, b in data["edges"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field 'edges': {exc}") from exc
+    edges = _field("", "edges", lambda pairs: tuple((_integer(a), _integer(b)) for a, b in pairs),
+                   data["edges"])
+    speeds = tuple(_field("", f"speeds[{k}]", _real, s) for k, s in enumerate(data["speeds"]))
+    real = {name: _field("", name, _real, data[name])
+            for name in ("delta", "alpha", "epsilon", "beta")}
     try:
         instance = Instance(
             jobs=tuple(jobs),
-            speedset=SpeedSet(tuple(float(s) for s in data["speeds"]), float(data["delta"])),
+            speedset=SpeedSet(speeds, real["delta"]),
             precedence=PrecedenceDag(edges),
             objective=objective,
-            alpha=float(data["alpha"]),
-            epsilon=float(data["epsilon"]),
-            beta=float(data["beta"]),
+            alpha=real["alpha"],
+            epsilon=real["epsilon"],
+            beta=real["beta"],
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc

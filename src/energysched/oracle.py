@@ -2,18 +2,23 @@
 
 ``brute_force`` returns the exact minimum-cost schedule over every
 precedence-feasible order and every assignment of grid speeds, the ground
-truth the approximation ratios are measured against.  It walks the tree of
-order prefixes depth first, children in sorted-id order.  A node holds the
-cost and completion time of each live speed combination of its prefix; a
-child broadcasts them against its job's m speeds (first position most
-significant) with the floating-point operations of a full enumeration, in
-the same order, so each leaf value is bit-identical to it.  A combination
-dies when its cost plus a bound on the unplaced jobs (each: its cheapest
-energy plus weight times the completion, or tardiness, at ``max(c, release)
-+ rho / fastest speed``), shrunk by a relative 1e-9 against rounding, reaches
-the best leaf so far; the bound holds only for non-negative terms and is
-skipped otherwise.  Masks keep the enumeration order, so the winner is the
-enumeration's: the first order with a strictly lower minimum, and in it the
+truth the approximation ratios are measured against.  It is a forward
+dynamic program over job subsets (Held & Karp, 1962; Lawler & Moore, 1969):
+the cost still to come after a set S of placed jobs depends only on S and the
+completion time C, so each precedence-closed S, in increasing bitmask order,
+keeps a front of partial schedules (C, cost T, label).  A child repeats a
+full enumeration's floating-point steps in the same order, so each path's
+value is bit-identical to its enumeration leaf.  The label, an order code
+(``parent * n + k``, jobs numbered in sorted-id order) then a speed code
+(``parent * m + s``), ranks paths as the enumeration visits them.
+
+State b is dropped when some a has C_a <= C_b, T_a <= T_b, and a smaller
+label or T_b - T_a > ``margin = 8 n eps U``, U a bound on every partial sum.
+Rounding is monotone, so b never ends below a; each of the n steps left
+narrows the gap by at most 2 ulp(U), so b can only tie a, and only within
+the margin.  With a negative weight the cost to come does not grow with C,
+so only C_a == C_b qualifies.  The least cost wins, ties to the smallest
+label: the enumeration's first order with the lowest value, and in it the
 lowest combination index.
 
 ``dual_cost`` / ``special_case_order`` cover the continuous-speed special
@@ -24,8 +29,6 @@ provably optimal, which the tests verify exhaustively.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +36,7 @@ import numpy as np
 from .instance import Instance, Objective
 from .rounding import assemble
 
-#: most speed combinations (m**n) ``brute_force`` may enumerate per order
+#: most speed combinations (m**n) ``brute_force`` accepts
 MAX_SPEED_COMBOS = 2 ** 20
 
 
@@ -68,6 +71,8 @@ def check_size(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> None:
     n, m = instance.n, instance.speedset.m
     if n > n_cap or m > m_cap:
         raise SizeCapError(f"instance size n={n}, m={m} exceeds caps ({n_cap}, {m_cap})")
+    if n > 15:                                   # 16**16 > 2**63
+        raise SizeCapError(f"n={n} jobs exceed 15: order codes up to n**n overflow int64")
     if m ** n > MAX_SPEED_COMBOS:
         raise SizeCapError(f"{m}**{n} speed combinations exceed "
                            f"MAX_SPEED_COMBOS = {MAX_SPEED_COMBOS}")
@@ -82,50 +87,45 @@ def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResu
     rank = sorted(range(n), key=lambda k: instance.jobs[k].id)   # position -> job
     jobs, costs = [instance.jobs[k] for k in rank], instance.energy_costs[rank]
     pos = {job.id: k for k, job in enumerate(jobs)}
-    preds = [{pos[a] for a in instance.precedence.predecessors(job.id)} for job in jobs]
-    proc = [job.rho / sigma for job in jobs]
+    need = [sum(1 << pos[a] for a in instance.precedence.predecessors(job.id)) for job in jobs]
+    proc = np.array([job.rho / sigma for job in jobs])
     release, deadline, weight = (np.array([getattr(j, f) for j in jobs], dtype=float)
                                  for f in ("release", "deadline", "weight"))
-    fastest, cheapest = np.array([p[-1] for p in proc]), costs.min(axis=1)
-    prune = bool((costs >= 0).all() and (weight >= 0).all())
-    best = [math.inf, (), 0]                     # cost, order, combination index
-
-    @functools.cache
-    def bound_terms(rest):
-        rest = list(rest)
-        return release[rest], fastest[rest], deadline[rest], weight[rest], cheapest[rest].sum()
-
-    def lower_bound(completion, rest):
-        r, p, d, w, e = bound_terms(rest)
-        c = np.maximum(completion[:, None], r) + p
-        return (np.maximum(c - d, 0.0) if tardy else c) @ w + e
-
-    def visit(order, index, completion, total):
-        rest = tuple(k for k in range(n) if k not in order)
-        if not rest:
-            k = int(np.argmin(total))
-            if total[k] < best[0]:
-                best[:] = float(total[k]), order, int(index[k])
-        for k in rest:
-            if not preds[k].issubset(order):
-                continue
-            job = jobs[k]
-            c = (np.maximum(completion, job.release)[:, None] + proc[k]).ravel()
-            t = (total[:, None] + costs[k]).ravel()
-            t += job.weight * (np.maximum(c - job.deadline, 0.0) if tardy else c)
-            i = (index[:, None] * m + np.arange(m)).ravel()
-            left = tuple(r for r in rest if r != k)
-            if prune and left and best[0] < math.inf:
-                keep = t + lower_bound(c, left) < best[0] * (1 + 1e-9)
-                if not keep.any():
-                    continue
-                c, t, i = c[keep], t[keep], i[keep]
-            visit(order + (k,), i, c, t)
-
-    visit((), np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1))
-    _, order, index = best
+    monotone = bool((weight >= 0).all())
+    horizon = release.max() + proc.max(axis=1).sum()
+    bound = np.abs(costs).max(axis=1) + np.abs(weight) * (horizon + tardy * np.abs(deadline))
+    margin = 8 * n * np.finfo(float).eps * bound.sum()
+    fronts = {0: (np.zeros(1), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64))}
+    for mask in range(1, 1 << n):
+        parts = [(fronts[mask ^ 1 << k], k) for k in range(n) if mask >> k & 1
+                 and mask ^ 1 << k in fronts and need[k] & ~mask == 0]
+        if not parts:
+            continue
+        c, t, oc, sc = (np.concatenate([f[i] for f, _ in parts]) for i in range(4))
+        k = np.repeat([k for _, k in parts], [len(f[0]) for f, _ in parts])
+        c = (np.maximum(c, release[k])[:, None] + proc[k]).ravel()
+        t = (t[:, None] + costs[k]).ravel()
+        oc, sc = (oc * n + k).repeat(m), (sc[:, None] * m + np.arange(m)).ravel()
+        k = k.repeat(m)
+        t += weight[k] * (np.maximum(c - deadline[k], 0.0) if tardy else c)
+        s = np.lexsort((t, c))
+        c, t, oc, sc = c[s], t[s], oc[s], sc[s]
+        if monotone:                             # least T at a C no larger
+            low = np.minimum.accumulate(t)
+        else:                                    # least T at an equal C
+            start = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+            low = np.repeat(t[start], np.diff(np.r_[start, len(c)]))
+        s = t - low <= margin
+        c, t, oc, sc = c[s], t[s], oc[s], sc[s]
+        reach = c[:, None] <= c if monotone else c[:, None] == c
+        earlier = (oc[:, None] < oc) | (oc[:, None] == oc) & (sc[:, None] < sc)
+        s = ~(reach & (t[:, None] <= t) & earlier).any(axis=0)
+        fronts[mask] = c[s], t[s], oc[s], sc[s]
+    _, t, oc, sc = fronts[(1 << n) - 1]
+    best = np.lexsort((sc, oc, t))[0]
+    order = [int(k) for k in np.unravel_index(oc[best], (n,) * n)]
+    digits = np.unravel_index(sc[best], (m,) * n)   # speed index per position
     best_order = tuple(jobs[k].id for k in order)
-    digits = np.unravel_index(index, (m,) * n)   # speed index per position
     best_speeds = {jobs[k].id: float(sigma[s]) for k, s in zip(order, digits)}
     sched = assemble(instance, best_order, best_speeds)
     # shared evaluation path: the reported cost is evaluate.cost of the argmin

@@ -195,6 +195,16 @@ def test_oracle_speed_combination_cap_exit_code(tmp_path, capsys, monkeypatch):
     assert "MAX_SPEED_COMBOS" in err
 
 
+def test_oracle_order_code_overflow_exit_code(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.json"
+    save(generate(0, 16, 2, GeneratorConfig()), path)     # 2**16 combinations fit
+    monkeypatch.setattr(Instance, "energy_costs",
+                        property(lambda self: pytest.fail("the search read the energy costs")))
+    rc, _, err = run_cli(capsys, "oracle", str(path), "--n-cap", "20")
+    assert rc == 2
+    assert "overflow int64" in err
+
+
 def test_lp_dump_to_file(inst_path, tmp_path, capsys):
     path = tmp_path / "model.lp"
     rc, out, _ = run_cli(capsys, "lp-dump", inst_path, "--out", str(path))
@@ -246,6 +256,29 @@ BAD_TYPES = {
     "rho 1.5": (lambda d: d["jobs"][0].update(rho=1.5), "field 'rho': must be an integer, got 1.5"),
     "edge end 1.5": (lambda d: d.update(edges=[[1.5, 2]]),
                      "field 'edges': must be an integer, got 1.5"),
+    # a JSON boolean is not read as 0 or 1
+    "id true": (lambda d: d["jobs"][0].update(id=True), "field 'id': must be an integer, got true"),
+    "rho true": (lambda d: d["jobs"][0].update(rho=True),
+                 "field 'rho': must be an integer, got true"),
+    "edge end true": (lambda d: d.update(edges=[[True, 2]]),
+                      "field 'edges': must be an integer, got true"),
+    "energy beta true": (lambda d: d["jobs"][0]["energy"].update(beta=True),
+                         "energy field 'beta': must be a number, got true"),
+    **{
+        f"{name} true": (edit, f"field {name!r}: must be a number, got true")
+        for name, edit in {
+            "weight": lambda d: d["jobs"][0].update(weight=True),
+            "release": lambda d: d["jobs"][1].update(release=True),
+            "deadline": lambda d: d["jobs"][2].update(deadline=True),
+            "speeds[1]": lambda d: d["speeds"].__setitem__(1, True),
+            "delta": lambda d: d.update(delta=True),
+            "alpha": lambda d: d.update(alpha=True),
+            "epsilon": lambda d: d.update(epsilon=True),
+            "beta": lambda d: d.update(beta=True),
+            "v": lambda d: d["jobs"][0]["energy"].update(v=True),
+            "costs[1]": lambda d: d["jobs"][1].update(energy={"type": "table", "costs": [1, True]}),
+        }.items()
+    },
 }
 
 

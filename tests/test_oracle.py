@@ -190,6 +190,7 @@ _DIFFERENTIAL = [
     ("table-tardiness", dict(energy_kind="table", **_TARDY), lambda k: 2 + k % 4, 4, range(15)),
     ("n1", dict(edge_density=0.0, release_max=2.0), lambda k: 1, 4, range(8)),
     ("m1", dict(edge_density=0.3), lambda k: 1 + k % 6, 1, range(8)),
+    ("verify-small", dict(edge_density=0.0, release_max=5.0), lambda k: 7, 3, range(2)),
 ]
 
 
@@ -224,6 +225,32 @@ def test_ties_between_orders_and_combinations_break_as_enumerated():
     inst = _identical_jobs(Objective.COMPLETION_TIME, (3, 1, 2))
     _assert_matches_reference(inst, "completion ties")
     assert brute_force(inst).order == (1, 2, 3)
+
+
+@pytest.mark.parametrize("first_costs", [(1.0, 1.0), (1.0 + 2 ** -52, 1.0)],
+                         ids=["equal", "one-ulp"])
+def test_dominated_partial_schedule_with_the_smaller_label_wins_a_final_tie(first_costs):
+    # every job is on time, so the cost is the energy alone.  After job 1 the
+    # fast state ends earlier at no greater cost, yet the slow one (combination
+    # index 0) ties at the end: 1 + 4 and (1 + 2**-52) + 4 both round to 5
+    inst = Instance(
+        jobs=(Job(1, 1, 1.0, deadline=10.0, energy=TableEnergy(first_costs)),
+              Job(2, 1, 1.0, deadline=10.0, energy=TableEnergy((4.0, 4.0)))),
+        speedset=SpeedSet((1.0, 2.0), 1.0),
+        objective=Objective.TARDINESS,
+    )
+    _assert_matches_reference(inst, first_costs)
+    res = brute_force(inst)
+    assert res.cost == 5.0
+    assert res.order == (1, 2)
+    assert list(res.speed.items()) == [(1, 1.0), (2, 1.0)]
+
+
+def test_order_codes_that_would_overflow_int64_are_refused(monkeypatch):
+    inst = generate(0, 16, 2, GeneratorConfig())            # 2**16 combinations fit
+    monkeypatch.setattr(Instance, "energy_costs", property(_no_search))
+    with pytest.raises(SizeCapError, match="overflow int64"):
+        brute_force(inst, n_cap=20)
 
 
 def test_negative_weight_is_searched_without_pruning():
