@@ -1,7 +1,9 @@
 """Interval-and-speed-indexed LP relaxation.
 
-One variable per (job, speed, interval) triple; a job's variable at speed j
-and interval t carries objective coefficient
+One variable per (job, speed, interval) triple.  Jobs and speeds are
+zero-based positions i < n and j < m, intervals one-based t <= T, and column
+(i, j, t) is ``(i*m + j)*T + t - 1``, so a solution reshapes to (n, m, T).
+The variable at speed j and interval t carries objective coefficient
 
 * energy of running the whole job at speed sigma_j, plus
 * ``w_i * tau_{t-1}`` (completion time) or ``w_i * (tau_{t-1} - d_i)^+``
@@ -61,23 +63,6 @@ class InfeasibleHorizonError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class VarIndex:
-    """Dense bijection (job position, speed index, interval) <-> flat column."""
-
-    n: int
-    m: int
-    T: int
-
-    @property
-    def ncols(self) -> int:
-        return self.n * self.m * self.T
-
-    def col(self, i: int, j: int, t: int) -> int:
-        # i, j zero-based positions; t one-based interval index
-        return (i * self.m + j) * self.T + (t - 1)
-
-
-@dataclass(frozen=True)
 class Row:
     kind: str        # "assign" | "capacity" | "prec"
     key: tuple
@@ -91,14 +76,13 @@ class Row:
 class LpModel:
     instance: Instance
     grid: TimeGrid
-    index: VarIndex
     objective: np.ndarray    # (ncols,)
     upper: np.ndarray        # 1.0, or 0.0 for pinned columns
     rows: tuple
 
     @property
     def ncols(self) -> int:
-        return self.index.ncols
+        return self.objective.size
 
 
 @dataclass(frozen=True)
@@ -123,7 +107,6 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     if tardiness and instance.has_releases:
         raise ValueError("tardiness formulation does not support release dates")
     n, m, T = instance.n, instance.speedset.m, grid.T
-    index = VarIndex(n, m, T)
     jobs = instance.jobs
     speeds = np.array(instance.speedset.speeds)
     rho = np.array([job.rho for job in jobs], dtype=float)
@@ -149,7 +132,7 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
             f"(tau_T = {grid.tau[-1]}, needs {jobs[i].release + jobs[i].rho / speeds[-1]})"
         )
 
-    block = np.arange(index.ncols).reshape(n, m, T)   # block[i, j, t - 1] = index.col(i, j, t)
+    block = np.arange(n * m * T).reshape(n, m, T)   # block[i, j, t - 1] is column (i, j, t)
     rows = [
         Row("assign", (job.id,), block[i].ravel(), np.ones(m * T), "=", 1.0)
         for i, job in enumerate(jobs)
@@ -167,7 +150,7 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
         for t in range(first[pos[b]], T):
             rows.append(Row("prec", (a, b, t), pair[:, :t].ravel(), signs[: 2 * m * t], ">=", 0.0))
 
-    return LpModel(instance, grid, index, obj, upper, tuple(rows))
+    return LpModel(instance, grid, obj, upper, tuple(rows))
 
 
 def _flat_rows(rows):
@@ -221,7 +204,7 @@ def start_basis(model: LpModel) -> np.ndarray:
 
     t = np.minimum(np.searchsorted(np.array(grid.tau[1:]), completion) + 1, grid.T)
     start = np.full(len(model.rows), -1)
-    start[:n] = [model.index.col(i, speed[i], t[i]) for i in range(n)]   # the assign rows lead
+    start[:n] = (np.arange(n) * instance.speedset.m + speed) * grid.T + t - 1   # assign rows lead
     return start
 
 
@@ -243,8 +226,7 @@ def solve_lp(model: LpModel) -> LpSolution:
     residual = _max_residual(A, senses, b, x)
     if residual > limit:
         raise RuntimeError(f"LP solution residual {residual} exceeds {limit}")
-    n, m, T = model.index.n, model.index.m, model.index.T
-    x3 = x.reshape(n, m, T)
+    x3 = x.reshape(model.instance.n, model.instance.speedset.m, model.grid.T)
     mass = x3.sum(axis=(1, 2))
     if np.any(np.abs(mass - 1.0) > 1e-7):
         raise RuntimeError(f"per-job mass deviates from 1: {mass}")
@@ -302,7 +284,7 @@ def lp_dump(model: LpModel) -> str:
 
     Each distinct row term and each distinct upper bound is formatted once.
     """
-    m, T = model.index.m, model.index.T
+    m, T = model.instance.speedset.m, model.grid.T
     names = [
         f"x_{job.id}_{j}_{t}"
         for job in model.instance.jobs for j in range(1, m + 1) for t in range(1, T + 1)

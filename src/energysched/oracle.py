@@ -16,8 +16,8 @@ State b is dropped when some a has C_a <= C_b, T_a <= T_b, and a smaller
 label or T_b - T_a > ``margin = 8 n eps U``, U a bound on every partial sum.
 Rounding is monotone, so b never ends below a; each of the n steps left
 narrows the gap by at most 2 ulp(U), so b can only tie a, and only within
-the margin.  With a negative weight the cost to come does not grow with C,
-so only C_a == C_b qualifies.  The least cost wins, ties to the smallest
+the margin.  The rule needs a cost to come that does not fall as C grows,
+so a negative weight is refused.  The least cost wins, ties to the smallest
 label: the enumeration's first order with the lowest value, and in it the
 lowest combination index.
 
@@ -81,6 +81,9 @@ def check_size(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> None:
 def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResult:
     """Exact optimum over all orders and grid-speed assignments."""
     check_size(instance, n_cap, m_cap)
+    for job in instance.jobs:
+        if job.weight < 0:
+            raise ValueError(f"job {job.id} has negative weight {job.weight}")
     n, m = instance.n, instance.speedset.m
     sigma = np.asarray(instance.speedset.speeds)
     tardy = instance.objective is Objective.TARDINESS
@@ -91,9 +94,8 @@ def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResu
     proc = np.array([job.rho / sigma for job in jobs])
     release, deadline, weight = (np.array([getattr(j, f) for j in jobs], dtype=float)
                                  for f in ("release", "deadline", "weight"))
-    monotone = bool((weight >= 0).all())
     horizon = release.max() + proc.max(axis=1).sum()
-    bound = np.abs(costs).max(axis=1) + np.abs(weight) * (horizon + tardy * np.abs(deadline))
+    bound = np.abs(costs).max(axis=1) + weight * (horizon + tardy * np.abs(deadline))
     margin = 8 * n * np.finfo(float).eps * bound.sum()
     fronts = {0: (np.zeros(1), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64))}
     for mask in range(1, 1 << n):
@@ -110,16 +112,10 @@ def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResu
         t += weight[k] * (np.maximum(c - deadline[k], 0.0) if tardy else c)
         s = np.lexsort((t, c))
         c, t, oc, sc = c[s], t[s], oc[s], sc[s]
-        if monotone:                             # least T at a C no larger
-            low = np.minimum.accumulate(t)
-        else:                                    # least T at an equal C
-            start = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-            low = np.repeat(t[start], np.diff(np.r_[start, len(c)]))
-        s = t - low <= margin
+        s = t - np.minimum.accumulate(t) <= margin     # least T at a C no larger
         c, t, oc, sc = c[s], t[s], oc[s], sc[s]
-        reach = c[:, None] <= c if monotone else c[:, None] == c
         earlier = (oc[:, None] < oc) | (oc[:, None] == oc) & (sc[:, None] < sc)
-        s = ~(reach & (t[:, None] <= t) & earlier).any(axis=0)
+        s = ~((c[:, None] <= c) & (t[:, None] <= t) & earlier).any(axis=0)
         fronts[mask] = c[s], t[s], oc[s], sc[s]
     _, t, oc, sc = fronts[(1 << n) - 1]
     best = np.lexsort((sc, oc, t))[0]

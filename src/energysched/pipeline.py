@@ -57,6 +57,23 @@ def run(
     with_oracle: bool = False,
     oracle_caps: tuple = (7, 4),
 ) -> PipelineResult:
+    """Solve ``instance``: time grid, LP build, simplex, rounding, evaluation.
+
+    The rounding is SAIAS for completion time and SAIAS-T for tardiness; the
+    schedule's cost is evaluated as it is assembled.  The report holds the LP
+    bound, the schedule's cost, their ratio and the theoretical bound.
+
+    ``alpha`` and ``epsilon``, when given, replace the instance's own values,
+    and the changed instance is validated again.  ``with_oracle`` also runs
+    ``oracle.brute_force`` under ``oracle_caps = (n_cap, m_cap)`` and adds the
+    exact cost and the ratio to it to the report.
+
+    These are raised before the LP is built: ``ValueError`` when an override
+    leaves the instance invalid; for tardiness, ``AssumptionError`` when a
+    job's energy cost grows too fast and ``SpeedRangeError`` when the speed
+    set cannot hold any scaled-up speed; with the oracle, ``SizeCapError``
+    when the instance exceeds ``oracle_caps``.
+    """
     overrides = {key: value for key, value in (("alpha", alpha), ("epsilon", epsilon))
                  if value is not None}
     if overrides:

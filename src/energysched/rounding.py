@@ -65,65 +65,37 @@ class Schedule:
         return self.breakdown.total
 
 
-def alpha_intervals(solution: LpSolution, alpha: float) -> np.ndarray:
-    """Earliest interval per job with accumulated mass >= alpha."""
+def compute_alpha_data(solution: LpSolution, instance: Instance, alpha: float) -> list:
+    """Each job's alpha interval, mass truncated to alpha, speed pmf and speed.
+
+    The alpha interval is the earliest by which an ``alpha`` fraction of the
+    job's mass has completed.  The truncated mass is the full mass before it;
+    at it, the budget left (alpha minus the mass before) is filled across
+    speeds in increasing speed-index order.  The pmf is the truncated mass
+    per speed over alpha, and the speed the reciprocal of its expected
+    reciprocal speed.
+    """
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    cum = solution.x.sum(axis=1).cumsum(axis=1)      # (n, T)
-    taus = np.zeros(solution.x.shape[0], dtype=int)
-    for i, row in enumerate(cum):
-        hits = np.flatnonzero(row >= alpha - MASS_TOL)
-        if hits.size == 0:
-            raise RuntimeError(
-                f"job at position {i} has total LP mass {row[-1]} < alpha={alpha}"
-            )
-        taus[i] = hits[0] + 1
-    return taus
-
-
-def truncate(solution: LpSolution, alpha: float, taus: np.ndarray) -> np.ndarray:
-    """Truncated mass: full before the alpha interval, clipped to total alpha.
-
-    At the alpha interval itself the remaining budget, alpha minus the mass
-    before that interval, is filled across speeds in increasing speed-index
-    order.
-    """
     x = solution.x
-    n, m, T = x.shape
-    xt = np.zeros_like(x)
-    for i in range(n):
-        ta = taus[i]
-        xt[i, :, : ta - 1] = x[i, :, : ta - 1]
-        beta_i = x[i, :, : ta - 1].sum()
-        filled = 0.0
-        for j in range(m):
-            take = max(min(x[i, j, ta - 1], alpha - beta_i - filled), 0.0)
-            xt[i, j, ta - 1] = take
-            filled += x[i, j, ta - 1]
-    return xt
-
-
-def alpha_speed(mu: np.ndarray, speedset: SpeedSet) -> float:
-    """Reciprocal of the expected reciprocal speed under ``mu``."""
-    inv = float(np.dot(mu, 1.0 / np.asarray(speedset.speeds)))
-    return 1.0 / inv
-
-
-def compute_alpha_data(solution: LpSolution, instance: Instance, alpha: float) -> list:
-    taus = alpha_intervals(solution, alpha)
-    xt = truncate(solution, alpha, taus)
-    out = []
-    for i in range(instance.n):
-        mu = xt[i].sum(axis=1) / alpha        # time collapsed out: pmf over speeds
-        out.append(
-            AlphaData(
-                interval=int(taus[i]),
-                x_trunc=xt[i],
-                mu=mu,
-                speed=alpha_speed(mu, instance.speedset),
-            )
-        )
-    return out
+    n, _, T = x.shape
+    cum = x.sum(axis=1).cumsum(axis=1)                     # (n, T)
+    reached = cum >= alpha - MASS_TOL
+    for i in np.flatnonzero(~reached.any(axis=1)):
+        raise RuntimeError(f"job at position {i} has total LP mass {cum[i, -1]} < alpha={alpha}")
+    taus = reached.argmax(axis=1)                          # zero-based alpha interval
+    jobs = np.arange(n)
+    xt = np.where(np.arange(T) < taus[:, None, None], x, 0.0)
+    budget = alpha - np.array([x[i, :, :t].sum() for i, t in enumerate(taus)])
+    at = x[jobs, :, taus]                                  # (n, m): mass at the alpha interval
+    filled = np.zeros_like(at)
+    filled[:, 1:] = at[:, :-1].cumsum(axis=1)
+    xt[jobs, :, taus] = np.maximum(np.minimum(at, budget[:, None] - filled), 0.0)
+    mu = xt.sum(axis=2) / alpha                            # time collapsed out: pmf over speeds
+    inverse = 1.0 / np.asarray(instance.speedset.speeds)
+    return [AlphaData(interval=int(t) + 1, x_trunc=xt[i], mu=mu[i],
+                      speed=1.0 / float(np.dot(mu[i], inverse)))
+            for i, t in enumerate(taus)]
 
 
 def order_jobs(taus, precedence, job_ids) -> list:

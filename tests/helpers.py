@@ -45,6 +45,11 @@ def vertex_enum_min(c, A, b, upper):
     return best, best_x
 
 
+def col(model, i, j, t):
+    """The LP column of job position i and speed index j (zero-based) at interval t (one-based)."""
+    return (i * model.instance.speedset.m + j) * model.grid.T + t - 1
+
+
 def highs_objective(model):
     """The optimum of an ``lp.LpModel`` by HiGHS; skips the test without scipy."""
     import pytest
@@ -69,7 +74,7 @@ def highs_objective(model):
 
 def reference_lp_dump(model):
     """The text ``lp.lp_dump`` must give byte for byte: one f-string per term."""
-    m, T = model.index.m, model.index.T
+    m, T = model.instance.speedset.m, model.grid.T
     names = [
         f"x_{job.id}_{j}_{t}"
         for job in model.instance.jobs for j in range(1, m + 1) for t in range(1, T + 1)

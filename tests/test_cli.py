@@ -304,7 +304,7 @@ def test_corrupt_lp_solution_exits_2(tmp_path, capsys, monkeypatch):
 
     def successor_first(model, config=None):
         # job 2 completes in the first interval, its predecessor job 1 in the last
-        x = np.zeros((2, 1, model.index.T))
+        x = np.zeros((2, 1, model.grid.T))
         x[0, 0, -1] = 1.0
         x[1, 0, 0] = 1.0
         return lp.LpSolution(x=x, objective=0.0)

@@ -19,7 +19,7 @@ from energysched import (
 from energysched.instance import GeneratorConfig, generate
 from energysched.lp import build_lp, constraint_arrays, start_basis
 
-from helpers import highs_objective, interval_of, reference_list_schedule, reference_lp_dump
+from helpers import col, highs_objective, interval_of, reference_list_schedule, reference_lp_dump
 
 
 def one_job_instance():
@@ -35,7 +35,7 @@ def test_single_column_coefficient():
     grid = build_grid(inst)
     model = build_lp(inst, grid)
     # energy 1*1*1 + weight * kappa = 2
-    assert model.objective[model.index.col(0, 0, 1)] == pytest.approx(2.0)
+    assert model.objective[col(model, 0, 0, 1)] == pytest.approx(2.0)
 
 
 def test_release_beyond_horizon_fails_early():
@@ -133,7 +133,7 @@ def test_fixed_zero_columns_marked_not_deleted():
     grid = build_grid(inst)
     model = build_lp(inst, grid)
     assert model.ncols == 2 * grid.T  # dense indexing retained
-    c_early = model.index.col(0, 0, 1)
+    c_early = col(model, 0, 0, 1)
     assert model.upper[c_early] == 0.0  # tau_1 = kappa < r + rho/sigma_1
 
 
@@ -158,7 +158,7 @@ def test_tardiness_coefficient_with_deadline_at_kappa():
     grid = build_grid(inst)
     model = build_lp(inst, grid)
     # tardiness term (kappa - d)^+ = 0 at t=1, so energy only
-    assert model.objective[model.index.col(0, 0, 1)] == pytest.approx(1.0)
+    assert model.objective[col(model, 0, 0, 1)] == pytest.approx(1.0)
 
 
 def test_huge_deadline_zeroes_tardiness_terms():
@@ -173,7 +173,7 @@ def test_huge_deadline_zeroes_tardiness_terms():
         e = [es.cost_at(job.energy, job.rho, s, speeds) for s in speeds]
         for j in range(inst.speedset.m):
             for t in range(1, grid.T + 1):
-                assert model.objective[model.index.col(i, j, t)] == pytest.approx(e[j])
+                assert model.objective[col(model, i, j, t)] == pytest.approx(e[j])
 
 
 def test_zero_deadline_matches_completion_coefficients():
@@ -317,7 +317,7 @@ def test_start_is_the_list_schedule_vertex(family):
     for inst, grid, model in _start_cases(family):
         _, speed_index, completion = reference_list_schedule(inst)
         expected = [
-            model.index.col(i, speed_index[job.id], interval_of(grid, completion[job.id]))
+            col(model, i, speed_index[job.id], interval_of(grid, completion[job.id]))
             for i, job in enumerate(inst.jobs)
         ]
         assert start_basis(model).tolist() == expected + [-1] * (len(model.rows) - inst.n)

@@ -253,12 +253,14 @@ def test_order_codes_that_would_overflow_int64_are_refused(monkeypatch):
         brute_force(inst, n_cap=20)
 
 
-def test_negative_weight_is_searched_without_pruning():
-    # the bound is only valid for non-negative terms; a negative weight turns it off
+def test_negative_weight_is_refused():
+    # dominance at a smaller completion time needs a cost to come that does not
+    # fall as C grows; validate rejects such weights on every parsed instance
     inst = generate(3, 5, 3, GeneratorConfig(edge_density=0.2))
     jobs = list(inst.jobs)
     jobs[2] = dataclasses.replace(jobs[2], weight=-1.5)
-    _assert_matches_reference(dataclasses.replace(inst, jobs=tuple(jobs)), "negative weight")
+    with pytest.raises(ValueError, match=f"job {jobs[2].id} has negative weight -1.5"):
+        brute_force(dataclasses.replace(inst, jobs=tuple(jobs)))
 
 
 def test_pipeline_checks_oracle_caps_before_the_lp(monkeypatch):

@@ -16,8 +16,6 @@ from energysched.instance import GeneratorConfig, generate
 from energysched.lp import LpSolution
 from energysched.rounding import (
     PrecedenceOrderError,
-    alpha_intervals,
-    alpha_speed,
     check_speed_range,
     compute_alpha_data,
     order_jobs,
@@ -25,80 +23,105 @@ from energysched.rounding import (
     round_speed_up,
     saias,
     saias_t,
-    truncate,
 )
 
 
-def solution_from_masses(masses):
-    """LpSolution with x[i, j, t] taken from a nested list."""
-    return LpSolution(x=np.array(masses, dtype=float), objective=0.0)
+def alpha_data(masses, alpha, speeds=None):
+    """``compute_alpha_data`` on x[i, j, t] taken from a nested list, for unit jobs
+    on ``speeds`` (default 1, 2, ..., m)."""
+    x = np.array(masses, dtype=float)
+    n, m, _ = x.shape
+    inst = Instance(jobs=tuple(Job(i + 1, 1, 1.0) for i in range(n)),
+                    speedset=SpeedSet(speeds or tuple(1.0 + j for j in range(m)), 1.0))
+    return compute_alpha_data(LpSolution(x=x, objective=0.0), inst, alpha)
 
 
 def test_alpha_interval_crosses_at_second():
-    sol = solution_from_masses([[[0.3, 0.4, 0.3]]])
-    assert alpha_intervals(sol, 0.5)[0] == 2
+    assert alpha_data([[[0.3, 0.4, 0.3]]], 0.5)[0].interval == 2
 
 
 def test_alpha_interval_integral_solution():
-    sol = solution_from_masses([[[0.0, 1.0, 0.0]]])
     for a in (0.1, 0.5, 0.9):
-        assert alpha_intervals(sol, a)[0] == 2
+        assert alpha_data([[[0.0, 1.0, 0.0]]], a)[0].interval == 2
 
 
 def test_alpha_interval_monotone_in_alpha():
     rng = np.random.default_rng(1)
     for _ in range(30):
         w = rng.dirichlet(np.ones(6)).reshape(1, 2, 3)
-        sol = LpSolution(x=w, objective=0.0)
-        t_small = alpha_intervals(sol, 0.2)[0]
-        t_big = alpha_intervals(sol, 0.9)[0]
-        assert t_small <= t_big
+        assert alpha_data(w, 0.2)[0].interval <= alpha_data(w, 0.9)[0].interval
 
 
 def test_truncate_splits_final_interval_by_speed_order():
     # mass before = 0.3; final interval speeds hold (0.1, 0.4); alpha = 0.5
-    sol = solution_from_masses([[[0.3, 0.1], [0.0, 0.4]]])
-    taus = alpha_intervals(sol, 0.5)
-    xt = truncate(sol, 0.5, taus)
-    assert taus[0] == 2
-    assert xt[0, 0, 1] == pytest.approx(0.1)
-    assert xt[0, 1, 1] == pytest.approx(0.1)
-    assert xt.sum() == pytest.approx(0.5)
+    d = alpha_data([[[0.3, 0.1], [0.0, 0.4]]], 0.5)[0]
+    assert d.interval == 2
+    assert d.x_trunc[0, 1] == pytest.approx(0.1)
+    assert d.x_trunc[1, 1] == pytest.approx(0.1)
+    assert d.x_trunc.sum() == pytest.approx(0.5)
 
 
 def test_truncate_single_speed_partial():
-    sol = solution_from_masses([[[1.0]]])
-    xt = truncate(sol, 0.5, np.array([1]))
-    assert xt[0, 0, 0] == pytest.approx(0.5)
+    d = alpha_data([[[1.0]]], 0.5)[0]
+    assert d.interval == 1
+    assert d.x_trunc[0, 0] == pytest.approx(0.5)
 
 
 def test_truncate_zero_budget_at_alpha_interval():
-    # exactly alpha completes strictly before the alpha interval
-    sol = solution_from_masses([[[0.5, 0.5]]])
-    taus = alpha_intervals(sol, 0.5)
-    assert taus[0] == 1
-    xt = truncate(sol, 0.5, taus)
-    assert xt.sum() == pytest.approx(0.5)
-    assert xt[0, 0, 1] == 0.0
+    # alpha is reached at the end of interval 1: interval 2 keeps nothing
+    d = alpha_data([[[0.5, 0.5]]], 0.5)[0]
+    assert d.interval == 1
+    assert d.x_trunc.sum() == pytest.approx(0.5)
+    assert d.x_trunc[0, 1] == 0.0
 
 
 def test_alpha_speed_harmonic_mean():
-    ss = SpeedSet((1.0, 2.0), 1.0)
-    assert alpha_speed(np.array([0.5, 0.5]), ss) == pytest.approx(4.0 / 3.0)
+    d = alpha_data([[[0.25, 0.25], [0.25, 0.25]]], 0.5, speeds=(1.0, 2.0))[0]
+    assert d.mu.tolist() == [0.5, 0.5]
+    assert d.speed == pytest.approx(4.0 / 3.0)
 
 
 def test_alpha_speed_concentrated():
-    ss = SpeedSet((1.0, 2.0, 4.0), 1.0)
-    assert alpha_speed(np.array([0.0, 1.0, 0.0]), ss) == pytest.approx(2.0)
+    d = alpha_data([[[0.0], [1.0], [0.0]]], 0.5, speeds=(1.0, 2.0, 4.0))[0]
+    assert d.mu.tolist() == [0.0, 1.0, 0.0]
+    assert d.speed == pytest.approx(2.0)
 
 
 def test_alpha_speed_within_speed_range():
     rng = np.random.default_rng(2)
     ss = SpeedSet((1.0, 1.7, 2.9), 0.8)
     for _ in range(50):
-        mu = rng.dirichlet(np.ones(3))
-        s = alpha_speed(mu, ss)
+        w = rng.dirichlet(np.ones(12)).reshape(1, 3, 4)
+        s = alpha_data(w, 0.5, speeds=ss.speeds)[0].speed
         assert ss.min - 1e-12 <= s <= ss.max + 1e-12
+
+
+def test_alpha_data_one_pass_keeps_jobs_apart():
+    # three jobs with alpha intervals 2, 3 and 1 on speeds (1, 2, 4), alpha = 0.5
+    data = alpha_data([
+        [[0.125, 0.5, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.125]],   # speed 1 overfills
+        [[0.125, 0.0, 0.125], [0.0, 0.0, 0.125], [0.0, 0.0, 0.625]],  # budget 0.375 split
+        [[0.0, 0.25, 0.0], [0.75, 0.0, 0.0], [0.0, 0.0, 0.0]],      # speed 2, interval 1
+    ], 0.5, speeds=(1.0, 2.0, 4.0))
+    assert [d.interval for d in data] == [2, 3, 1]
+    assert data[0].x_trunc.tolist() == [[0.125, 0.375, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert data[1].x_trunc.tolist() == [[0.125, 0.0, 0.125], [0.0, 0.0, 0.125],
+                                        [0.0, 0.0, 0.125]]
+    assert data[2].x_trunc.tolist() == [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert [d.mu.tolist() for d in data] == [[1.0, 0.0, 0.0], [0.5, 0.25, 0.25],
+                                             [0.0, 1.0, 0.0]]
+    assert [d.speed for d in data] == [1.0, 16.0 / 11.0, 2.0]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5])
+def test_alpha_data_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        alpha_data([[[1.0]]], alpha)
+
+
+def test_alpha_data_names_a_job_short_of_alpha():
+    with pytest.raises(RuntimeError, match="job at position 1 has total LP mass 0.25 < alpha=0.5"):
+        alpha_data([[[0.5, 0.5]], [[0.125, 0.125]]], 0.5)
 
 
 def test_order_by_intervals():
@@ -231,7 +254,7 @@ def test_interval_order_compatible_with_precedence():
         inst = generate(seed + 300, 2 + seed % 5, 1 + seed % 3,
                         GeneratorConfig(edge_density=0.7))
         _, sol = run_pipeline(inst)
-        taus = alpha_intervals(sol, inst.alpha)
+        taus = [d.interval for d in compute_alpha_data(sol, inst, inst.alpha)]
         tau_of = {j.id: taus[i] for i, j in enumerate(inst.jobs)}
         for a, b in inst.precedence.edges:
             assert tau_of[a] <= tau_of[b]

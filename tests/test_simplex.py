@@ -164,7 +164,7 @@ def test_pipeline_lp_warm_start_deterministic_bit_for_bit():
     assert first.iterations > 0
     assert first.iterations == second.iterations
     assert work(first) == work(second)
-    assert first.kernel_max >= model.index.n       # the start has a column per job
+    assert first.kernel_max >= model.instance.n      # the start has a column per job
 
 
 def test_feasible_start_skips_phase_1():
