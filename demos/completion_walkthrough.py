@@ -47,7 +47,7 @@ print(f"energy {bd.energy_total:.4f} + scheduling {bd.scheduling_total:.4f} "
 
 print("\n== guarantees ==")
 exact = es.brute_force(inst)
-bound = es.theoretical_bound(inst, inst.alpha)
+bound = es.theoretical_bound(inst)
 print(f"exact optimum (brute force): {exact.cost:.6f}")
 print(f"realized ratio {sched.cost / exact.cost:.4f} "
       f"vs proven ceiling {bound:.4f}")

@@ -23,9 +23,9 @@ for s in speeds:
 print("\n== tabulated model with a non-convex bump ==")
 raw = (4.0, 9.0, 6.0, 20.0)          # the 9 at speed 2 sits above the hull
 table = es.TableEnergy(raw)
-env = convexify(raw, speeds)
+envelope = convexify(raw, speeds)
 print("  speed   raw  envelope")
-for s, r, e in zip(speeds, raw, env.values):
+for s, r, e in zip(speeds, raw, envelope):
     marker = "  <- pulled down" if e < r else ""
     print(f"  {s:>5}  {r:4.1f}  {e:8.3f}{marker}")
 

@@ -82,15 +82,9 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = instance_mod.load(args.instance)
-    exact = oracle.brute_force(inst, n_cap=args.n_cap, m_cap=args.m_cap)
-    _emit(
-        {
-            "cost": exact.cost,
-            "order": list(exact.order),
-            "speeds": {str(k): v for k, v in exact.speed.items()},
-        },
-        args.pretty,
-    )
+    exact = oracle.brute_force(inst, args.n_cap, args.m_cap)
+    _emit({"cost": exact.cost, "order": list(exact.order),
+           "speeds": {str(k): v for k, v in exact.speed.items()}}, args.pretty)
     return 0
 
 
@@ -201,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact brute-force optimum of an instance file")
     p.add_argument("instance")
-    p.add_argument("--n-cap", type=int, default=7)
-    p.add_argument("--m-cap", type=int, default=4)
+    p.add_argument("--n-cap", type=int, default=oracle.DEFAULT_CAPS[0])
+    p.add_argument("--m-cap", type=int, default=oracle.DEFAULT_CAPS[1])
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_oracle)
 

@@ -46,35 +46,23 @@ class TableEnergy:
 EnergyCostDescriptor = Union[PolynomialEnergy, TableEnergy]
 
 
-@dataclass(frozen=True)
-class ConvexEnvelope:
-    """Lower convex envelope of tabulated costs over the speed grid.
-
-    ``values[j]`` is the envelope value at ``speeds[j]``; the envelope is
-    piecewise linear between consecutive grid speeds.
-    """
-
-    speeds: tuple
-    values: tuple
-
-    def value_at(self, speed: float) -> float:
-        lo, hi = self.speeds[0], self.speeds[-1]
-        if speed < lo * (1 - 1e-12) or speed > hi * (1 + 1e-12):
-            raise ValueError(f"speed {speed} outside tabulated range [{lo}, {hi}]")
-        speed = min(max(speed, lo), hi)
-        if len(self.speeds) == 1:
-            return self.values[0]
-        k = bisect_right(self.speeds, speed)
-        if k >= len(self.speeds):
-            k = len(self.speeds) - 1
-        s0, s1 = self.speeds[k - 1], self.speeds[k]
-        c0, c1 = self.values[k - 1], self.values[k]
-        lam = (speed - s0) / (s1 - s0)
-        return (1 - lam) * c0 + lam * c1
+def _interpolate(speeds: Sequence[float], values: Sequence[float], speed: float) -> float:
+    """The piecewise-linear function through ``(speeds[j], values[j])`` at ``speed``."""
+    lo, hi = speeds[0], speeds[-1]
+    if speed < lo * (1 - 1e-12) or speed > hi * (1 + 1e-12):
+        raise ValueError(f"speed {speed} outside tabulated range [{lo}, {hi}]")
+    speed = min(max(speed, lo), hi)
+    if len(speeds) == 1:
+        return values[0]
+    k = min(bisect_right(speeds, speed), len(speeds) - 1)
+    s0, s1 = speeds[k - 1], speeds[k]
+    c0, c1 = values[k - 1], values[k]
+    lam = (speed - s0) / (s1 - s0)
+    return (1 - lam) * c0 + lam * c1
 
 
-def convexify(costs: Sequence[float], speeds: Sequence[float]) -> ConvexEnvelope:
-    """Lower convex envelope of the points ``(speeds[j], costs[j])``.
+def convexify(costs: Sequence[float], speeds: Sequence[float]) -> tuple:
+    """Lower convex envelope of the points ``(speeds[j], costs[j])`` at every grid speed.
 
     Uses an Andrew-monotone-chain sweep to find the lower hull, then reads the
     hull back at every grid speed.  The result is pointwise <= the raw costs
@@ -84,7 +72,7 @@ def convexify(costs: Sequence[float], speeds: Sequence[float]) -> ConvexEnvelope
         raise ValueError("one cost per grid speed required")
     pts = list(zip(speeds, costs))
     if len(pts) <= 2:
-        return ConvexEnvelope(tuple(speeds), tuple(float(c) for c in costs))
+        return tuple(float(c) for c in costs)
     hull = []
     for p in pts:  # speeds already sorted ascending
         while len(hull) >= 2:
@@ -95,8 +83,8 @@ def convexify(costs: Sequence[float], speeds: Sequence[float]) -> ConvexEnvelope
             else:
                 break
         hull.append(p)
-    env = ConvexEnvelope(tuple(x for x, _ in hull), tuple(y for _, y in hull))
-    return ConvexEnvelope(tuple(speeds), tuple(env.value_at(s) for s in speeds))
+    xs, ys = zip(*hull)
+    return tuple(_interpolate(xs, ys, s) for s in speeds)
 
 
 def cost_at(
@@ -114,7 +102,7 @@ def cost_at(
         return energy.v * rho * speed ** (energy.beta - 1)
     if speeds is None:
         raise ValueError("table energy evaluation requires the speed grid")
-    return convexify(energy.costs, speeds).value_at(speed)
+    return _interpolate(speeds, convexify(energy.costs, speeds), speed)
 
 
 def check_assumption1(energy: EnergyCostDescriptor, beta: float, speeds: Sequence[float]) -> bool:
@@ -133,7 +121,7 @@ def check_assumption1(energy: EnergyCostDescriptor, beta: float, speeds: Sequenc
     """
     if isinstance(energy, PolynomialEnergy):
         return energy.beta <= beta or len(speeds) == 1
-    c = convexify(energy.costs, speeds).values
+    c = convexify(energy.costs, speeds)
     return all(
         (c1 - c0) * s0 <= (beta - 1) * c0 * (s1 - s0) * (1 + 1e-9) + 1e-12
         for s0, s1, c0, c1 in zip(speeds, speeds[1:], c, c[1:])

@@ -119,7 +119,7 @@ class Instance:
         """
         speeds = self.speedset.speeds
         costs = np.array([
-            convexify(job.energy.costs, speeds).values
+            convexify(job.energy.costs, speeds)
             if isinstance(job.energy, TableEnergy)
             else [cost_at(job.energy, job.rho, s) for s in speeds]
             for job in self.jobs
@@ -253,26 +253,26 @@ _TOP_FIELDS = {"jobs", "speeds", "delta", "edges", "objective", "alpha", "epsilo
 def _energy_from_dict(d, job_id) -> EnergyCostDescriptor:
     if not isinstance(d, dict) or "type" not in d:
         raise ParseError(f"job {job_id}: energy must be an object with a 'type' field")
+    kind = d["type"]
+    if kind not in ("poly", "table"):
+        raise ParseError(f"job {job_id}: unknown energy type {kind!r}")
+    extra = set(d) - ({"type", "v", "beta"} if kind == "poly" else {"type", "costs"})
+    if extra:
+        raise ParseError(f"job {job_id}: unknown energy fields {sorted(extra)}")
     where = f"job {job_id}: energy "
-    if d["type"] == "poly":
-        extra = set(d) - {"type", "v", "beta"}
-        if extra:
-            raise ParseError(f"job {job_id}: unknown energy fields {sorted(extra)}")
-        try:
+    try:
+        if kind == "poly":
             return PolynomialEnergy(_field(where, "v", _real, d["v"]),
                                     _field(where, "beta", _real, d["beta"]))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"job {job_id}: bad polynomial energy: {exc}") from exc
-    if d["type"] == "table":
-        extra = set(d) - {"type", "costs"}
-        if extra:
-            raise ParseError(f"job {job_id}: unknown energy fields {sorted(extra)}")
-        try:
-            return TableEnergy(tuple(_field(where, f"costs[{k}]", _real, c)
-                                     for k, c in enumerate(d["costs"])))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"job {job_id}: bad table energy: {exc}") from exc
-    raise ParseError(f"job {job_id}: unknown energy type {d['type']!r}")
+        return TableEnergy(tuple(_field(where, f"costs[{k}]", _real, c)
+                                 for k, c in enumerate(d["costs"])))
+    except ParseError:
+        raise                              # names the field already
+    except (KeyError, TypeError) as exc:
+        name = "polynomial" if kind == "poly" else "table"
+        raise ParseError(f"job {job_id}: bad {name} energy: {exc}") from exc
+    except ValueError as exc:              # a value the energy model rejects
+        raise ParseError(f"job {job_id}: {exc}") from exc
 
 
 def _energy_to_dict(e: EnergyCostDescriptor) -> dict:

@@ -10,7 +10,8 @@ keeps a front of partial schedules (C, cost T, label).  A child repeats a
 full enumeration's floating-point steps in the same order, so each path's
 value is bit-identical to its enumeration leaf.  The label, an order code
 (``parent * n + k``, jobs numbered in sorted-id order) then a speed code
-(``parent * m + s``), ranks paths as the enumeration visits them.
+(``parent * m + s``), ranks paths as the enumeration visits them.  Both
+codes must fit int64 (n**n and m**n), which at m <= n means n <= 15.
 
 State b is dropped when some a has C_a <= C_b, T_a <= T_b, and a smaller
 label or T_b - T_a > ``margin = 8 n eps U``, U a bound on every partial sum.
@@ -29,22 +30,13 @@ provably optimal, which the tests verify exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .instance import Instance, Objective
-from .rounding import assemble
+from .rounding import Schedule, assemble
 
-#: most speed combinations (m**n) ``brute_force`` accepts
-MAX_SPEED_COMBOS = 2 ** 20
-
-
-@dataclass(frozen=True)
-class ExactResult:
-    cost: float
-    order: tuple
-    speed: dict              # job id -> grid speed
+#: default (n_cap, m_cap): most jobs and most speeds ``brute_force`` accepts
+DEFAULT_CAPS = (7, 4)
 
 
 class SizeCapError(ValueError):
@@ -66,20 +58,19 @@ def _feasible_permutations(ids, precedence):
     return rec(())
 
 
-def check_size(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> None:
+def check_size(instance: Instance, n_cap: int, m_cap: int) -> None:
     """Raise :class:`SizeCapError` when ``brute_force`` would refuse ``instance``."""
     n, m = instance.n, instance.speedset.m
     if n > n_cap or m > m_cap:
         raise SizeCapError(f"instance size n={n}, m={m} exceeds caps ({n_cap}, {m_cap})")
-    if n > 15:                                   # 16**16 > 2**63
-        raise SizeCapError(f"n={n} jobs exceed 15: order codes up to n**n overflow int64")
-    if m ** n > MAX_SPEED_COMBOS:
-        raise SizeCapError(f"{m}**{n} speed combinations exceed "
-                           f"MAX_SPEED_COMBOS = {MAX_SPEED_COMBOS}")
+    if max(n, m) ** n > 2 ** 63:                 # at m <= n: n > 15
+        raise SizeCapError(f"n={n}, m={m}: order codes up to n**n and speed codes "
+                           f"up to m**n overflow int64")
 
 
-def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResult:
-    """Exact optimum over all orders and grid-speed assignments."""
+def brute_force(instance: Instance, n_cap: int = DEFAULT_CAPS[0],
+                m_cap: int = DEFAULT_CAPS[1]) -> Schedule:
+    """Exact optimum over all orders and grid-speed assignments, assembled."""
     check_size(instance, n_cap, m_cap)
     for job in instance.jobs:
         if job.weight < 0:
@@ -123,9 +114,7 @@ def brute_force(instance: Instance, n_cap: int = 7, m_cap: int = 4) -> ExactResu
     digits = np.unravel_index(sc[best], (m,) * n)   # speed index per position
     best_order = tuple(jobs[k].id for k in order)
     best_speeds = {jobs[k].id: float(sigma[s]) for k, s in zip(order, digits)}
-    sched = assemble(instance, best_order, best_speeds)
-    # shared evaluation path: the reported cost is evaluate.cost of the argmin
-    return ExactResult(cost=sched.breakdown.total, order=best_order, speed=best_speeds)
+    return assemble(instance, best_order, best_speeds)
 
 
 def _xi(job, beta: float) -> float:

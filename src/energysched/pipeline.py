@@ -19,14 +19,14 @@ class AssumptionError(RuntimeError):
     """A job's energy cost grows too fast for the tardiness guarantee."""
 
 
-def theoretical_bound(instance: Instance, alpha: float) -> float:
+def theoretical_bound(instance: Instance) -> float:
     """Worst-case ratio of algorithm cost to the exact optimum."""
-    eps, delta, beta = instance.epsilon, instance.speedset.delta, instance.beta
+    a, eps, delta, beta = instance.alpha, instance.epsilon, instance.speedset.delta, instance.beta
     if instance.objective is Objective.TARDINESS:
-        return ((1 + eps) * (1 + delta)) ** (beta - 1) / (alpha * (1 - alpha)) ** beta
+        return ((1 + eps) * (1 + delta)) ** (beta - 1) / (a * (1 - a)) ** beta
     if instance.has_releases:
-        return (1 + alpha) * (1 + eps) * (1 + delta) / (alpha * (1 - alpha))
-    return (1 + eps) * (1 + delta) / (alpha * (1 - alpha))
+        return (1 + a) * (1 + eps) * (1 + delta) / (a * (1 - a))
+    return (1 + eps) * (1 + delta) / (a * (1 - a))
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def run(
     alpha: float | None = None,
     epsilon: float | None = None,
     with_oracle: bool = False,
-    oracle_caps: tuple = (7, 4),
+    oracle_caps: tuple = oracle.DEFAULT_CAPS,
 ) -> PipelineResult:
     """Solve ``instance``: time grid, LP build, simplex, rounding, evaluation.
 
@@ -63,13 +63,12 @@ def run(
     schedule's cost is evaluated as it is assembled.  The report holds the LP
     bound, the schedule's cost, their ratio and the theoretical bound.
 
-    ``alpha`` and ``epsilon``, when given, replace the instance's own values,
-    and the changed instance is validated again.  ``with_oracle`` also runs
-    ``oracle.brute_force`` under ``oracle_caps = (n_cap, m_cap)`` and adds the
-    exact cost and the ratio to it to the report.
+    ``alpha`` and ``epsilon``, when given, replace the instance's own values.
+    ``with_oracle`` also runs ``oracle.brute_force`` under ``oracle_caps =
+    (n_cap, m_cap)`` and adds the exact cost and the ratio to it to the report.
 
-    These are raised before the LP is built: ``ValueError`` when an override
-    leaves the instance invalid; for tardiness, ``AssumptionError`` when a
+    These are raised before the LP is built: ``ValueError`` when the instance,
+    overrides applied, is invalid; for tardiness, ``AssumptionError`` when a
     job's energy cost grows too fast and ``SpeedRangeError`` when the speed
     set cannot hold any scaled-up speed; with the oracle, ``SizeCapError``
     when the instance exceeds ``oracle_caps``.
@@ -77,18 +76,17 @@ def run(
     overrides = {key: value for key, value in (("alpha", alpha), ("epsilon", epsilon))
                  if value is not None}
     if overrides:
-        # not validated with the instance: a tiny epsilon hangs the grid, and
-        # alpha at 0 or 1 divides by zero in the tardiness speed check
         instance = dataclasses.replace(instance, **overrides)
-        report = instance_mod.validate(instance)
-        if report:
-            raise ValueError("invalid instance: " + "; ".join(report))
-    a = instance.alpha
+    # a library caller's instance has not been through the parser: a tiny
+    # epsilon hangs the grid, and alpha at 0 or 1 divides by zero
+    problems = instance_mod.validate(instance)
+    if problems:
+        raise ValueError("invalid instance: " + "; ".join(problems))
 
     # these checks fail fast: none depends on the LP solution
     if instance.objective is Objective.TARDINESS:
         check_energy_assumption(instance)
-        rounding.check_speed_range(instance, a)
+        rounding.check_speed_range(instance)
     if with_oracle:
         oracle.check_size(instance, *oracle_caps)
 
@@ -97,28 +95,26 @@ def run(
     solution = lp.solve_lp(model)
 
     if instance.objective is Objective.TARDINESS:
-        schedule = rounding.saias_t(instance, solution, alpha=a)
+        schedule = rounding.saias_t(instance, solution)
     else:
-        schedule = rounding.saias(instance, solution, alpha=a)
+        schedule = rounding.saias(instance, solution)
 
     lp_bound = solution.objective
     report = {
         "lp_bound": lp_bound,
         "algorithm_cost": schedule.cost,
         "ratio_vs_lp": schedule.cost / lp_bound if lp_bound > 0 else float("inf"),
-        "theoretical_bound": theoretical_bound(instance, a),
-        "alpha": a,
+        "theoretical_bound": theoretical_bound(instance),
+        "alpha": instance.alpha,
         "epsilon": instance.epsilon,
         "delta": instance.speedset.delta,
     }
     if instance.objective is Objective.TARDINESS:
-        report["gamma"] = rounding.tardiness_gamma(instance, a)
+        report["gamma"] = rounding.tardiness_gamma(instance)
     if with_oracle:
-        exact = oracle.brute_force(instance, n_cap=oracle_caps[0], m_cap=oracle_caps[1])
+        exact = oracle.brute_force(instance, *oracle_caps)
         report["oracle_cost"] = exact.cost
-        report["ratio_vs_oracle"] = (
-            schedule.cost / exact.cost if exact.cost > 0 else 1.0
-        )
+        report["ratio_vs_oracle"] = schedule.cost / exact.cost if exact.cost > 0 else 1.0
     return PipelineResult(instance, grid, model, solution, schedule, report)
 
 

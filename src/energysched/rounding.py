@@ -144,19 +144,19 @@ def round_speed_energy_aware(speed: float, speedset: SpeedSet, grid_costs) -> fl
     return speeds[lo_idx] if grid_costs[lo_idx] <= grid_costs[lo_idx + 1] else speeds[lo_idx + 1]
 
 
-def tardiness_gamma(instance: Instance, alpha: float) -> float:
+def tardiness_gamma(instance: Instance) -> float:
     """SAIAS-T's speed-up factor ``(1 + epsilon) / (alpha * (1 - alpha))``."""
-    return (1 + instance.epsilon) / (alpha * (1 - alpha))
+    return (1 + instance.epsilon) / (instance.alpha * (1 - instance.alpha))
 
 
-def check_speed_range(instance: Instance, alpha: float) -> None:
+def check_speed_range(instance: Instance) -> None:
     """Raise :class:`SpeedRangeError` when SAIAS-T can round no job at all.
 
     Every alpha speed is a harmonic mean of grid speeds, so at least sigma_1;
     when gamma * sigma_1 already exceeds sigma_m, every ``round_speed_up``
     fails, whatever the LP solution.
     """
-    gamma = tardiness_gamma(instance, alpha)
+    gamma = tardiness_gamma(instance)
     ss = instance.speedset
     if gamma * ss.min * (1 - 1e-12) > ss.max:
         raise SpeedRangeError(
@@ -182,10 +182,10 @@ def assemble(instance: Instance, order, speed_by_id) -> Schedule:
     return sched
 
 
-def _round(instance: Instance, solution: LpSolution, alpha: float, grid_speed) -> Schedule:
+def _round(instance: Instance, solution: LpSolution, grid_speed) -> Schedule:
     """Order the jobs by alpha interval and run each at
     ``grid_speed(alpha speed, the job's grid costs)``."""
-    data = compute_alpha_data(solution, instance, alpha)
+    data = compute_alpha_data(solution, instance, instance.alpha)
     order = order_jobs([d.interval for d in data], instance.precedence,
                        [j.id for j in instance.jobs])
     speed_by_id = {
@@ -195,21 +195,20 @@ def _round(instance: Instance, solution: LpSolution, alpha: float, grid_speed) -
     return assemble(instance, order, speed_by_id)
 
 
-def saias(instance: Instance, solution: LpSolution, alpha: float | None = None) -> Schedule:
+def saias(instance: Instance, solution: LpSolution) -> Schedule:
     """Weighted-completion-time rounding of the LP relaxation solution."""
     if instance.objective is not Objective.COMPLETION_TIME:
         raise ValueError("saias requires the completion-time objective")
     ss = instance.speedset
-    return _round(instance, solution, instance.alpha if alpha is None else alpha,
+    return _round(instance, solution,
                   lambda speed, costs: round_speed_energy_aware(speed, ss, costs))
 
 
-def saias_t(instance: Instance, solution: LpSolution, alpha: float | None = None) -> Schedule:
+def saias_t(instance: Instance, solution: LpSolution) -> Schedule:
     """Weighted-tardiness rounding: scale target speeds up by gamma, round up."""
     if instance.objective is not Objective.TARDINESS:
         raise ValueError("saias_t requires the tardiness objective")
     if instance.has_releases:
         raise ValueError("saias_t does not support release dates")
-    a = instance.alpha if alpha is None else alpha
-    gamma, ss = tardiness_gamma(instance, a), instance.speedset
-    return _round(instance, solution, a, lambda speed, _: round_speed_up(gamma * speed, ss))
+    gamma, ss = tardiness_gamma(instance), instance.speedset
+    return _round(instance, solution, lambda speed, _: round_speed_up(gamma * speed, ss))

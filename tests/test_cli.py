@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,17 @@ from energysched.instance import (
     Instance,
     Job,
     Objective,
+    ParseError,
     PrecedenceDag,
     SpeedSet,
+    from_dict,
     generate,
     load,
     save,
     to_dict,
 )
+
+N_CAP, M_CAP = oracle.DEFAULT_CAPS
 
 
 @pytest.fixture
@@ -184,15 +189,15 @@ def test_bench_oracle_fails_only_the_oversize_rows(capsys):
     assert data["aggregate"]["max_ratio_vs_oracle"] == max(r["ratio_vs_oracle"] for r in ok)
 
 
-def test_oracle_speed_combination_cap_exit_code(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("n, m", [(N_CAP + 1, M_CAP), (N_CAP, M_CAP + 1)])
+def test_oracle_caps_exit_code(n, m, tmp_path, capsys, monkeypatch):
     path = tmp_path / "inst.json"
-    save(generate(0, 5, 3, GeneratorConfig()), path)      # 3**5 = 243 combinations
-    monkeypatch.setattr(oracle, "MAX_SPEED_COMBOS", 100)
+    save(generate(0, n, m, GeneratorConfig()), path)
     monkeypatch.setattr(Instance, "energy_costs",
                         property(lambda self: pytest.fail("the search read the energy costs")))
-    rc, _, err = run_cli(capsys, "oracle", str(path), "--n-cap", "12", "--m-cap", "6")
-    assert rc == 2
-    assert "MAX_SPEED_COMBOS" in err
+    rc, out, err = run_cli(capsys, "oracle", str(path))
+    assert rc == 2 and out == ""
+    assert f"n={n}, m={m} exceeds caps ({N_CAP}, {M_CAP})" in err
 
 
 def test_oracle_order_code_overflow_exit_code(tmp_path, capsys, monkeypatch):
@@ -295,6 +300,40 @@ def test_bad_field_type_exits_2_naming_the_field(case, command, tmp_path, capsys
     assert out == ""
     assert err.startswith("error:")
     assert message in err
+
+
+#: energy values that parse as numbers but lie outside the model's range, given to job 2
+OUT_OF_RANGE_ENERGY = {
+    "v -1": ({"type": "poly", "v": -1, "beta": 2.0}, "coefficient must be positive, got -1.0"),
+    "beta 1.5": ({"type": "poly", "v": 1.0, "beta": 1.5}, "exponent must be >= 2, got 1.5"),
+    "costs [-1, 2]": ({"type": "table", "costs": [-1, 2]}, "costs must be non-negative"),
+    "costs []": ({"type": "table", "costs": []}, "needs at least one cost value"),
+}
+
+
+@pytest.mark.parametrize("surface", ["library", "solve", "lp-dump"])
+@pytest.mark.parametrize("case", OUT_OF_RANGE_ENERGY)
+def test_out_of_range_energy_is_a_parse_error_naming_the_job(case, surface, tmp_path, capsys):
+    energy, message = OUT_OF_RANGE_ENERGY[case]
+    data = to_dict(generate(11, 3, 2, GeneratorConfig(edge_density=0.4)))
+    data["jobs"][1]["energy"] = energy
+    if surface == "library":
+        with pytest.raises(ParseError, match=r"^job 2: .*" + re.escape(message)):
+            from_dict(data)
+        return
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, surface, str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: job 2: ") and message in err
+
+
+def test_energy_field_parse_error_is_not_wrapped_again():
+    data = to_dict(generate(11, 3, 2, GeneratorConfig(edge_density=0.4)))
+    data["jobs"][1]["energy"] = {"type": "poly", "v": True, "beta": 2.0}
+    with pytest.raises(ParseError) as info:
+        from_dict(data)
+    assert str(info.value) == "job 2: energy field 'v': must be a number, got true"
 
 
 def test_corrupt_lp_solution_exits_2(tmp_path, capsys, monkeypatch):

@@ -37,18 +37,15 @@ def test_table_out_of_range_errors():
 
 
 def test_convexify_keeps_convex_table():
-    env = convexify((1.0, 2.0, 4.0), (1.0, 2.0, 3.0))
-    assert env.values == (1.0, 2.0, 4.0)
+    assert convexify((1.0, 2.0, 4.0), (1.0, 2.0, 3.0)) == (1.0, 2.0, 4.0)
 
 
 def test_convexify_spike_collapses_to_chord():
-    env = convexify((0.0, 10.0, 0.0), (1.0, 2.0, 3.0))
-    assert env.values == pytest.approx((0.0, 0.0, 0.0))
+    assert convexify((0.0, 10.0, 0.0), (1.0, 2.0, 3.0)) == pytest.approx((0.0, 0.0, 0.0))
 
 
 def test_convexify_single_speed_identity():
-    env = convexify((7.0,), (2.0,))
-    assert env.values == (7.0,)
+    assert convexify((7.0,), (2.0,)) == (7.0,)
 
 
 def test_convexify_below_and_convex():
@@ -58,12 +55,11 @@ def test_convexify_below_and_convex():
         speeds = np.cumsum(rng.uniform(0.5, 2.0, m))
         costs = rng.uniform(0, 10, m)
         env = convexify(costs, speeds)
-        assert all(v <= c + 1e-12 for v, c in zip(env.values, costs))
-        slopes = np.diff(env.values) / np.diff(speeds)
+        assert all(v <= c + 1e-12 for v, c in zip(env, costs))
+        slopes = np.diff(env) / np.diff(speeds)
         assert all(b >= a - 1e-9 for a, b in zip(slopes, slopes[1:]))
         # idempotent
-        again = convexify(env.values, speeds)
-        assert np.allclose(again.values, env.values, atol=1e-12)
+        assert np.allclose(convexify(env, speeds), env, atol=1e-12)
 
 
 @given(
@@ -130,9 +126,9 @@ def _holds_just_right_of_each_speed(costs, beta, speeds, step=1e-6):
     at the segment's left end when beta >= 2 (or the segment falls, and then it
     is positive), so a violation anywhere shows just right of a grid speed.
     """
-    env = convexify(costs, speeds)
-    g = 1 + step
-    return all(env.value_at(s * g) <= g ** (beta - 1) * env.value_at(s) for s in speeds[:-1])
+    table, g = TableEnergy(tuple(costs)), 1 + step
+    return all(cost_at(table, 1, s * g, speeds) <= g ** (beta - 1) * cost_at(table, 1, s, speeds)
+               for s in speeds[:-1])
 
 
 @pytest.mark.parametrize("beta", [2.0, 2.5, 3.0, 4.0])

@@ -17,10 +17,12 @@ from energysched import (
 )
 from energysched.energy import TableEnergy
 from energysched.instance import GeneratorConfig, generate
-from energysched import lp, oracle, run
+from energysched import evaluate, lp, oracle, run
 from energysched.oracle import SizeCapError, _feasible_permutations
 from energysched.rounding import assemble
 from helpers import reference_brute_force
+
+N_CAP, M_CAP = oracle.DEFAULT_CAPS
 
 
 def test_single_job_two_speeds_by_hand():
@@ -69,18 +71,19 @@ def _no_search(instance):
     raise AssertionError("the search read the energy costs")
 
 
-def test_speed_combination_cap_raises_before_allocating(monkeypatch):
-    monkeypatch.setattr(oracle, "MAX_SPEED_COMBOS", 2 ** 4)
+@pytest.mark.parametrize("n, m", [(N_CAP + 1, M_CAP), (N_CAP, M_CAP + 1)])
+def test_caps_refuse_one_more_job_or_speed_before_the_search(n, m, monkeypatch):
+    inst = generate(0, n, m, GeneratorConfig())
     monkeypatch.setattr(Instance, "energy_costs", property(_no_search))
-    inst = generate(0, 5, 2, GeneratorConfig())            # 2**5 = 32 combinations
-    with pytest.raises(SizeCapError, match="MAX_SPEED_COMBOS"):
-        brute_force(inst, n_cap=12, m_cap=6)
+    with pytest.raises(SizeCapError, match=rf"n={n}, m={m} exceeds caps \({N_CAP}, {M_CAP}\)"):
+        brute_force(inst)
 
 
-def test_speed_combination_cap_admits_its_own_value(monkeypatch):
-    monkeypatch.setattr(oracle, "MAX_SPEED_COMBOS", 2 ** 4)
-    inst = generate(0, 4, 2, GeneratorConfig())            # 2**4 = 16 combinations
-    assert brute_force(inst, n_cap=12, m_cap=6).cost > 0
+def test_caps_admit_their_own_values():
+    inst = generate(0, N_CAP, M_CAP, GeneratorConfig())
+    res = brute_force(inst)
+    assert sorted(res.order) == [job.id for job in inst.jobs]
+    assert res.cost == evaluate.cost(inst, res).total > 0
 
 
 def test_dual_cost_single_job_closed_form():
@@ -253,6 +256,14 @@ def test_order_codes_that_would_overflow_int64_are_refused(monkeypatch):
         brute_force(inst, n_cap=20)
 
 
+def test_speed_codes_that_would_overflow_int64_are_refused(monkeypatch):
+    inst = generate(0, 15, 19, GeneratorConfig())           # 19**15 > 2**63
+    monkeypatch.setattr(Instance, "energy_costs", property(_no_search))
+    with pytest.raises(SizeCapError, match="overflow int64"):
+        brute_force(inst, n_cap=15, m_cap=19)
+    oracle.check_size(generate(0, 15, 18, GeneratorConfig()), 15, 18)   # 18**15 < 2**63
+
+
 def test_negative_weight_is_refused():
     # dominance at a smaller completion time needs a cost to come that does not
     # fall as C grows; validate rejects such weights on every parsed instance
@@ -271,3 +282,30 @@ def test_pipeline_checks_oracle_caps_before_the_lp(monkeypatch):
     inst = generate(0, 8, 2, GeneratorConfig())
     with pytest.raises(SizeCapError, match="exceeds caps"):
         run(inst, with_oracle=True)
+
+
+@pytest.mark.parametrize("with_oracle", [False, True])
+def test_pipeline_refuses_an_invalid_instance_before_the_lp(with_oracle, monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("the LP was built")
+
+    monkeypatch.setattr(lp, "build_lp", no_lp)
+    inst = generate(3, 7, 3, GeneratorConfig(edge_density=0.0, release_max=5.0))
+    jobs = list(inst.jobs)
+    jobs[2] = dataclasses.replace(jobs[2], weight=-1.5)
+    with pytest.raises(ValueError, match="job 3: weight must be positive, got -1.5"):
+        run(dataclasses.replace(inst, jobs=tuple(jobs)), with_oracle=with_oracle)
+
+
+def test_pipeline_keeps_the_instance_without_overrides():
+    # its cached energy_costs then serve every run of it
+    inst = generate(1, 4, 3, GeneratorConfig())
+    assert run(inst).instance is inst
+    assert run(inst, alpha=0.4).instance.alpha == 0.4
+
+
+def test_raised_caps_admit_what_the_speed_combination_count_refused():
+    inst = generate(1, 8, 6, GeneratorConfig())             # 6**8 > 2**20
+    report = run(inst, with_oracle=True, oracle_caps=(8, 6)).report
+    assert report["lp_bound"] <= report["oracle_cost"] * (1 + 1e-9)
+    assert report["oracle_cost"] <= report["algorithm_cost"] * (1 + 1e-12)

@@ -320,9 +320,9 @@ def _one_tardy_job(speeds, delta):
 
 def test_speed_range_check_boundary():
     # gamma = (1 + 0.5) / (0.5 * 0.5) = 6
-    check_speed_range(_one_tardy_job((1.0, 6.0), 5.0), 0.5)
+    check_speed_range(_one_tardy_job((1.0, 6.0), 5.0))
     with pytest.raises(SpeedRangeError, match="gamma"):
-        check_speed_range(_one_tardy_job((1.0, 5.9), 5.0), 0.5)
+        check_speed_range(_one_tardy_job((1.0, 5.9), 5.0))
 
 
 def test_narrow_speed_ladder_fails_before_the_lp(monkeypatch):
