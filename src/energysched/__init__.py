@@ -13,7 +13,6 @@ from .energy import (
     check_assumption1,
     convexify,
     cost_at,
-    quantize_speed_range,
 )
 from .evaluate import check_feasible, cost
 from .instance import (
@@ -26,6 +25,7 @@ from .instance import (
     SpeedSet,
     generate,
     load,
+    quantize_speed_range,
     save,
     validate,
 )

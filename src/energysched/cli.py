@@ -73,9 +73,10 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = instance_mod.load(args.instance)
-    if args.objective is not None:
-        inst = dataclasses.replace(inst, objective=Objective(args.objective))
-    result = pipeline.run(inst, alpha=args.alpha, epsilon=args.epsilon, with_oracle=args.oracle)
+    overrides = {"alpha": args.alpha, "epsilon": args.epsilon,
+                 "objective": args.objective and Objective(args.objective)}
+    inst = dataclasses.replace(inst, **{k: v for k, v in overrides.items() if v is not None})
+    result = pipeline.run(inst, with_oracle=args.oracle)
     _emit(pipeline.schedule_to_dict(result), args.pretty)
     return 0
 

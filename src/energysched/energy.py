@@ -127,20 +127,3 @@ def check_assumption1(energy: EnergyCostDescriptor, beta: float, speeds: Sequenc
         for s0, s1, c0, c1 in zip(speeds, speeds[1:], c, c[1:])
     )
 
-
-def quantize_speed_range(sigma_min: float, sigma_max: float, delta: float):
-    """Geometric speed ladder covering ``[sigma_min, sigma_max]``.
-
-    Starts at ``sigma_min`` and multiplies by ``(1 + delta)`` until the top of
-    the range is covered; the last rung may overshoot ``sigma_max``.
-    """
-    from .instance import SpeedSet  # deferred: instance depends on this module
-
-    if sigma_min <= 0 or sigma_max < sigma_min:
-        raise ValueError(f"invalid speed range [{sigma_min}, {sigma_max}]")
-    if delta <= 0:
-        raise ValueError(f"ladder spacing must be positive, got {delta}")
-    speeds = [sigma_min]
-    while speeds[-1] < sigma_max * (1 - 1e-12):
-        speeds.append(speeds[-1] * (1 + delta))
-    return SpeedSet(tuple(speeds), delta)

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .energy import EnergyCostDescriptor, PolynomialEnergy, TableEnergy, convexify, cost_at
+from .timegrid import MAX_INTERVALS, interval_count
 
 
 class Objective(enum.Enum):
@@ -61,6 +62,22 @@ class SpeedSet:
     @property
     def max(self) -> float:
         return self.speeds[-1]
+
+
+def quantize_speed_range(sigma_min: float, sigma_max: float, delta: float) -> SpeedSet:
+    """Geometric speed ladder covering ``[sigma_min, sigma_max]``.
+
+    Starts at ``sigma_min`` and multiplies by ``(1 + delta)`` until the top of
+    the range is covered; the last rung may overshoot ``sigma_max``.
+    """
+    if sigma_min <= 0 or sigma_max < sigma_min:
+        raise ValueError(f"invalid speed range [{sigma_min}, {sigma_max}]")
+    if delta <= 0:
+        raise ValueError(f"ladder spacing must be positive, got {delta}")
+    speeds = [sigma_min]
+    while speeds[-1] < sigma_max * (1 - 1e-12):
+        speeds.append(speeds[-1] * (1 + delta))
+    return SpeedSet(tuple(speeds), delta)
 
 
 @dataclass(frozen=True)
@@ -229,10 +246,7 @@ def validate(instance: Instance) -> list:
         report.append(f"beta must be >= 2, got {instance.beta}")
     if instance.objective is Objective.TARDINESS and any(j.release > 0 for j in instance.jobs):
         report.append("tardiness objective requires all release dates to be 0")
-    if not report:
-        # deferred: timegrid depends on this module; the count needs valid fields
-        from .timegrid import MAX_INTERVALS, interval_count
-
+    if not report:                  # the count needs valid fields
         count = interval_count(instance)
         if count > MAX_INTERVALS:
             report.append(
@@ -264,11 +278,13 @@ def _energy_from_dict(d, job_id) -> EnergyCostDescriptor:
         if kind == "poly":
             return PolynomialEnergy(_field(where, "v", _real, d["v"]),
                                     _field(where, "beta", _real, d["beta"]))
+        if not isinstance(d["costs"], list):
+            raise ParseError(f"{where}field 'costs' must be a list, got {d['costs']!r}")
         return TableEnergy(tuple(_field(where, f"costs[{k}]", _real, c)
                                  for k, c in enumerate(d["costs"])))
     except ParseError:
         raise                              # names the field already
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         name = "polynomial" if kind == "poly" else "table"
         raise ParseError(f"job {job_id}: bad {name} energy: {exc}") from exc
     except ValueError as exc:              # a value the energy model rejects
@@ -305,25 +321,32 @@ def to_dict(instance: Instance) -> dict:
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing a float with a fractional part rather than truncating
-    it, and a boolean rather than reading it as 0 or 1."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """``int(value)`` of a number, refusing a float with a fractional part rather than
+    truncating it, and a boolean or a string rather than reading it as a number."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"must be an integer, got {json.dumps(value)}")
     return int(value)
 
 
 def _real(value) -> float:
-    """``float(value)``, refusing a boolean rather than reading it as 0 or 1."""
-    if isinstance(value, bool):
+    """``float(value)`` of a number, refusing a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"must be a number, got {json.dumps(value)}")
     return float(value)
+
+
+def _edge(pair) -> tuple:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"each edge must be a pair of job ids, got {json.dumps(pair)}")
+    return _integer(pair[0]), _integer(pair[1])
 
 
 def _field(where: str, name: str, convert, value):
     """``convert(value)``; a failure is a :class:`ParseError` naming the field."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:     # an integer too large for a float
         raise ParseError(f"{where}field {name!r}: {exc}") from exc
 
 
@@ -366,24 +389,19 @@ def from_dict(data: dict) -> Instance:
     except ValueError as exc:
         raise ParseError(f"field 'objective' must be one of "
                          f"{[o.value for o in Objective]}: {exc}") from exc
-    edges = _field("", "edges", lambda pairs: tuple((_integer(a), _integer(b)) for a, b in pairs),
-                   data["edges"])
+    edges = _field("", "edges", lambda pairs: tuple(map(_edge, pairs)), data["edges"])
     speeds = tuple(_field("", f"speeds[{k}]", _real, s) for k, s in enumerate(data["speeds"]))
     real = {name: _field("", name, _real, data[name])
             for name in ("delta", "alpha", "epsilon", "beta")}
-    try:
-        instance = Instance(
-            jobs=tuple(jobs),
-            speedset=SpeedSet(speeds, real["delta"]),
-            precedence=PrecedenceDag(edges),
-            objective=objective,
-            alpha=real["alpha"],
-            epsilon=real["epsilon"],
-            beta=real["beta"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(str(exc)) from exc
-
+    instance = Instance(
+        jobs=tuple(jobs),
+        speedset=SpeedSet(speeds, real["delta"]),
+        precedence=PrecedenceDag(edges),
+        objective=objective,
+        alpha=real["alpha"],
+        epsilon=real["epsilon"],
+        beta=real["beta"],
+    )
     report = validate(instance)
     if report:
         raise ParseError("invalid instance: " + "; ".join(report))
@@ -407,14 +425,10 @@ class GeneratorConfig:
     objective: Objective = Objective.COMPLETION_TIME
     edge_density: float = 0.3
     rho_max: int = 3
-    weight_max: float = 4.0
     release_max: float = 0.0        # 0 disables release dates
     deadline_max: float = 10.0      # tardiness only
     energy_kind: str = "poly"       # "poly" or "table"
-    v_max: float = 2.0
     beta: float = 2.0
-    table_cost_max: float = 10.0
-    sigma1: float = 1.0
     delta: float = 1.0
     epsilon: float = 0.5
     alpha: float | None = None      # None: objective/release-dependent default
@@ -422,8 +436,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if not (0 <= self.edge_density <= 1):
             raise ValueError(f"edge_density must be in [0, 1], got {self.edge_density}")
-        if self.rho_max < 1 or self.weight_max <= 0 or self.sigma1 <= 0:
-            raise ValueError("rho_max, weight_max and sigma1 must be positive")
+        if self.rho_max < 1:
+            raise ValueError(f"rho_max must be positive, got {self.rho_max}")
         if self.energy_kind not in ("poly", "table"):
             raise ValueError(f"unknown energy kind {self.energy_kind!r}")
         if self.objective is Objective.TARDINESS and self.release_max > 0:
@@ -444,7 +458,7 @@ def generate(seed: int, n: int, m: int, config: GeneratorConfig | None = None) -
     cfg = config or GeneratorConfig()
     rng = np.random.default_rng(seed)
 
-    speeds = [cfg.sigma1]
+    speeds = [1.0]
     for _ in range(m - 1):
         # random ratio in (1, 1+delta]: keeps the ladder strictly increasing
         speeds.append(speeds[-1] * (1 + cfg.delta * rng.uniform(0.5, 1.0)))
@@ -459,14 +473,14 @@ def generate(seed: int, n: int, m: int, config: GeneratorConfig | None = None) -
         if cfg.objective is Objective.TARDINESS:
             deadline = float(rng.uniform(0, cfg.deadline_max))
         if cfg.energy_kind == "poly":
-            energy = PolynomialEnergy(float(rng.uniform(0.2, cfg.v_max)), cfg.beta)
+            energy = PolynomialEnergy(float(rng.uniform(0.2, 2.0)), cfg.beta)
         else:
-            energy = TableEnergy(tuple(float(c) for c in rng.uniform(0, cfg.table_cost_max, m)))
+            energy = TableEnergy(tuple(float(c) for c in rng.uniform(0, 10.0, m)))
         jobs.append(
             Job(
                 id=i,
                 rho=int(rng.integers(1, cfg.rho_max + 1)),
-                weight=float(rng.uniform(0.1, cfg.weight_max)),
+                weight=float(rng.uniform(0.1, 4.0)),
                 release=release,
                 deadline=deadline,
                 energy=energy,

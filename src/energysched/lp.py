@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import simplex
 from .instance import Instance, Objective, priority_order
 from .timegrid import TimeGrid
 
@@ -210,12 +211,10 @@ def start_basis(model: LpModel) -> np.ndarray:
 
 def solve_lp(model: LpModel) -> LpSolution:
     """Solve the relaxation with the embedded simplex and certify feasibility."""
-    from . import simplex
-
     A, senses, b = constraint_arrays(model)
     result = simplex.solve(
         model.objective, A, senses, b,
-        lower=np.zeros(model.ncols), upper=model.upper.copy(), start=start_basis(model),
+        lower=np.zeros(model.ncols), upper=model.upper, start=start_basis(model),
     )
     if result.status != "optimal":
         raise RuntimeError(f"LP solve failed with status {result.status!r}")
@@ -231,7 +230,7 @@ def solve_lp(model: LpModel) -> LpSolution:
     if np.any(np.abs(mass - 1.0) > 1e-7):
         raise RuntimeError(f"per-job mass deviates from 1: {mass}")
     return LpSolution(
-        x=x3, objective=float(model.objective @ x),
+        x=x3, objective=result.objective,
         iterations=result.iterations,
         bound_flips=result.bound_flips,
         degenerate_pivots=result.degenerate_pivots,

@@ -6,7 +6,6 @@ which the benchmark harness asserts against realized ratios.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from . import energy as energy_mod
@@ -50,33 +49,23 @@ def check_energy_assumption(instance: Instance) -> None:
             )
 
 
-def run(
-    instance: Instance,
-    alpha: float | None = None,
-    epsilon: float | None = None,
-    with_oracle: bool = False,
-    oracle_caps: tuple = oracle.DEFAULT_CAPS,
-) -> PipelineResult:
+def run(instance: Instance, with_oracle: bool = False,
+        oracle_caps: tuple = oracle.DEFAULT_CAPS) -> PipelineResult:
     """Solve ``instance``: time grid, LP build, simplex, rounding, evaluation.
 
     The rounding is SAIAS for completion time and SAIAS-T for tardiness; the
     schedule's cost is evaluated as it is assembled.  The report holds the LP
     bound, the schedule's cost, their ratio and the theoretical bound.
 
-    ``alpha`` and ``epsilon``, when given, replace the instance's own values.
     ``with_oracle`` also runs ``oracle.brute_force`` under ``oracle_caps =
     (n_cap, m_cap)`` and adds the exact cost and the ratio to it to the report.
 
-    These are raised before the LP is built: ``ValueError`` when the instance,
-    overrides applied, is invalid; for tardiness, ``AssumptionError`` when a
-    job's energy cost grows too fast and ``SpeedRangeError`` when the speed
-    set cannot hold any scaled-up speed; with the oracle, ``SizeCapError``
-    when the instance exceeds ``oracle_caps``.
+    These are raised before the LP is built: ``ValueError`` when the instance
+    is invalid; for tardiness, ``AssumptionError`` when a job's energy cost
+    grows too fast and ``SpeedRangeError`` when the speed set cannot hold any
+    scaled-up speed; with the oracle, ``SizeCapError`` when the instance
+    exceeds ``oracle_caps``.
     """
-    overrides = {key: value for key, value in (("alpha", alpha), ("epsilon", epsilon))
-                 if value is not None}
-    if overrides:
-        instance = dataclasses.replace(instance, **overrides)
     # a library caller's instance has not been through the parser: a tiny
     # epsilon hangs the grid, and alpha at 0 or 1 divides by zero
     problems = instance_mod.validate(instance)

@@ -61,6 +61,9 @@ Pricing is largest-reduced-cost with lowest-index tie-breaks, falling back to
 Bland's rule once a run of degenerate pivots is detected, so every solve is
 deterministic and terminates.  Column indices, for the tie-breaks, number
 the structurals first, then the slacks in row order, then the placeholder.
+The tolerances are module constants: :data:`FEASIBILITY_TOL`, times
+``max(1, max|b|)``, for the start's bounds; the absolute :data:`OPTIMALITY_TOL`
+for reduced costs, and :data:`PIVOT_TOL` and :data:`TIE_TOL` for the ratio test.
 
 The entry point :func:`solve` takes the problem in row form
 
@@ -84,6 +87,12 @@ PIVOT_TOL = 1e-10
 #: step lengths within this distance count as ties in the ratio test
 TIE_TOL = 1e-12
 
+#: a start's basic variable may break a bound by this times max(1, max|b|)
+FEASIBILITY_TOL = 1e-9
+
+#: a column enters only when its reduced cost improves by more than this
+OPTIMALITY_TOL = 1e-9
+
 
 class SimplexError(RuntimeError):
     pass
@@ -91,13 +100,7 @@ class SimplexError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    feasibility_tolerance: float = 1e-9
-    optimality_tolerance: float = 1e-9
     max_iterations: int = 1_000_000
-
-    def __post_init__(self):
-        if self.feasibility_tolerance <= 0 or self.optimality_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
     lo = np.concatenate([lower, np.zeros(nslack + 1)])
     hi = np.concatenate([upper, np.full(nslack, np.inf), [0.0]])
     at_upper = np.zeros(len(lo), dtype=bool)
-    feas_tol = cfg.feasibility_tolerance * max(1.0, np.abs(b).max(initial=0.0))
+    feas_tol = FEASIBILITY_TOL * max(1.0, np.abs(b).max(initial=0.0))
     work = {"bound_flips": 0, "degenerate_pivots": 0, "bland": False}
 
     try:
@@ -331,7 +334,7 @@ def _iterate(kernel: _Kernel, b, cost, lo, hi, x, at_upper, cfg: SolverConfig, w
     and whether Bland's rule took over.
     """
     nrows, ncols = len(b), kernel.ncols
-    tol = cfg.optimality_tolerance
+    tol = OPTIMALITY_TOL
     degen_run = 0
     bland = False
     # only columns that can move are priced: fixed ones never enter

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .instance import Instance
+if TYPE_CHECKING:
+    from .instance import Instance
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     kappa: float
     tau: tuple       # boundaries tau[0] .. tau[T]; tau[0] == tau[1] == kappa
-    epsilon: float
 
     @property
     def T(self) -> int:
@@ -68,4 +69,4 @@ def build_grid(instance: Instance) -> TimeGrid:
     # repeated multiplication: each boundary ratio is (1 + epsilon) to 1 ulp
     while tau[-1] < horizon * (1 - 1e-15):
         tau.append(tau[-1] * (1 + instance.epsilon))
-    return TimeGrid(kappa=kappa, tau=tuple(tau), epsilon=instance.epsilon)
+    return TimeGrid(kappa=kappa, tau=tuple(tau))

@@ -109,6 +109,17 @@ def test_solve_alpha_override(inst_path, capsys):
     assert json.loads(out_alpha)["report"]["alpha"] == pytest.approx(0.3)
 
 
+def test_solve_applies_objective_alpha_and_epsilon_together(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    save(generate(11, 3, 4, GeneratorConfig(edge_density=0.4, delta=3.0)), path)
+    rc, out, _ = run_cli(capsys, "solve", str(path), "--objective", "tardiness",
+                         "--alpha", "0.45", "--epsilon", "0.8")
+    assert rc == 0
+    report = json.loads(out)["report"]
+    assert (report["alpha"], report["epsilon"]) == (0.45, 0.8)
+    assert report["gamma"] == (1 + 0.8) / (0.45 * (1 - 0.45))    # only tardiness reports it
+
+
 def test_oracle_subcommand_matches_solve_oracle(inst_path, capsys):
     _, out_solve, _ = run_cli(capsys, "solve", inst_path, "--oracle")
     _, out_exact, _ = run_cli(capsys, "oracle", inst_path)
@@ -284,7 +295,35 @@ BAD_TYPES = {
             "costs[1]": lambda d: d["jobs"][1].update(energy={"type": "table", "costs": [1, True]}),
         }.items()
     },
+    # nor is a JSON string, and a list must not be read from one
+    "weight '3'": (lambda d: d["jobs"][0].update(weight="3"),
+                   "field 'weight': must be a number, got \"3\""),
+    "rho '2'": (lambda d: d["jobs"][0].update(rho="2"), "field 'rho': must be an integer, got \"2\""),
+    "id '1'": (lambda d: d["jobs"][0].update(id="1"), "field 'id': must be an integer, got \"1\""),
+    "alpha '0.25'": (lambda d: d.update(alpha="0.25"),
+                     "field 'alpha': must be a number, got \"0.25\""),
+    "speeds[1] '2'": (lambda d: d["speeds"].__setitem__(1, "2"),
+                      "field 'speeds[1]': must be a number, got \"2\""),
+    "edge end '2'": (lambda d: d.update(edges=[[1, "2"]]),
+                     "field 'edges': must be an integer, got \"2\""),
+    "costs '12'": (lambda d: d["jobs"][1].update(energy={"type": "table", "costs": "12"}),
+                   "job 2: energy field 'costs' must be a list, got '12'"),
+    "edge '12'": (lambda d: d.update(edges=["12"]),
+                  "field 'edges': each edge must be a pair of job ids, got \"12\""),
+    "edge [1, 2, 3]": (lambda d: d.update(edges=[[1, 2, 3]]),
+                       "field 'edges': each edge must be a pair of job ids, got [1, 2, 3]"),
+    "weight 10**400": (lambda d: d["jobs"][0].update(weight=10**400),
+                       "field 'weight': int too large to convert to float"),
 }
+
+
+@pytest.mark.parametrize("case", BAD_TYPES)
+def test_bad_field_type_is_a_parse_error_naming_the_field(case):
+    edit, message = BAD_TYPES[case]
+    data = to_dict(generate(11, 3, 2, GeneratorConfig(edge_density=0.4)))
+    edit(data)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        from_dict(data)
 
 
 @pytest.mark.parametrize("command", ["solve", "lp-dump"])
