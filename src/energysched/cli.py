@@ -22,8 +22,8 @@ from . import lp, oracle, pipeline, timegrid
 from .instance import GeneratorConfig, Objective
 
 
-#: ``energysched perf`` solves ``generate(seed, n, 3, edge_density=0.3)`` at
-#: every one of these seeds and sizes
+#: ``energysched perf`` solves ``generate(seed, n, 3)`` at every one of these
+#: seeds and sizes
 PERF_SEEDS = (1, 2, 3)
 PERF_SIZES = (5, 10, 15, 20, 30, 40)
 
@@ -33,31 +33,27 @@ def _emit(data: dict, pretty: bool) -> None:
 
 
 def _generator_config(args) -> GeneratorConfig:
-    return GeneratorConfig(
-        objective=Objective(args.objective),
-        edge_density=args.edge_density,
-        rho_max=args.rho_max,
-        release_max=args.release_max,
-        deadline_max=args.deadline_max,
-        energy_kind=args.energy,
-        beta=args.beta,
-        delta=args.delta,
-        epsilon=args.epsilon,
-        alpha=args.alpha,
-    )
+    """The generator flags given, on the defaults of ``GeneratorConfig``."""
+    given = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(GeneratorConfig) if hasattr(args, f.name)}
+    if "objective" in given:
+        given["objective"] = Objective(given["objective"])
+    return GeneratorConfig(**given)
 
 
 def _add_generator_flags(p) -> None:
-    p.add_argument("--objective", choices=[o.value for o in Objective], default="completion")
-    p.add_argument("--edge-density", type=float, default=0.3)
-    p.add_argument("--rho-max", type=int, default=3)
-    p.add_argument("--release-max", type=float, default=0.0)
-    p.add_argument("--deadline-max", type=float, default=10.0)
-    p.add_argument("--energy", choices=["poly", "table"], default="poly")
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=None)
+    """One flag per ``GeneratorConfig`` field, with no default of its own."""
+    flag = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    flag("--objective", choices=[o.value for o in Objective])
+    flag("--edge-density", type=float)
+    flag("--rho-max", type=int)
+    flag("--release-max", type=float)
+    flag("--deadline-max", type=float)
+    flag("--energy", choices=["poly", "table"], dest="energy_kind")
+    flag("--beta", type=float)
+    flag("--delta", type=float)
+    flag("--epsilon", type=float)
+    flag("--alpha", type=float)
 
 
 def cmd_gen(args) -> int:
@@ -133,11 +129,10 @@ def cmd_lpdump(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    cfg = GeneratorConfig(edge_density=0.3)
     rows = []
     for n in PERF_SIZES:
         for seed in PERF_SEEDS:
-            inst = instance_mod.generate(seed, n, 3, cfg)
+            inst = instance_mod.generate(seed, n, 3)
             t0 = time.perf_counter()
             grid = timegrid.build_grid(inst)
             t1 = time.perf_counter()

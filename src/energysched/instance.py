@@ -378,8 +378,8 @@ def from_dict(data: dict) -> Instance:
                 id=conv("id", _integer),
                 rho=conv("rho", _integer),
                 weight=conv("weight", _real),
-                release=conv("release", _real, 0.0),
-                deadline=conv("deadline", _real, 0.0),
+                release=conv("release", _real, Job.release),
+                deadline=conv("deadline", _real, Job.deadline),
                 energy=_energy_from_dict(jd.get("energy"), jd.get("id", k)),
             )
         )

@@ -86,15 +86,9 @@ class LpModel:
         return self.objective.size
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    x: np.ndarray            # (n, m, T), all >= 0
-    objective: float         # LP optimum: a lower bound on the optimal schedule cost
-    iterations: int = 0          # simplex work, as in ``simplex.SolveResult``
-    bound_flips: int = 0
-    degenerate_pivots: int = 0
-    bland: bool = False
-    kernel_max: int = 0
+class LpSolution(simplex.SolveResult):
+    """The simplex result with ``x`` as an (n, m, T) array; ``objective``, the
+    LP optimum, is a lower bound on the optimal schedule cost."""
 
     def fractional_completion(self, grid: TimeGrid) -> np.ndarray:
         """Per-job expected interval lower bound, sum_jt tau_{t-1} * x_ijt."""
@@ -212,10 +206,8 @@ def start_basis(model: LpModel) -> np.ndarray:
 def solve_lp(model: LpModel) -> LpSolution:
     """Solve the relaxation with the embedded simplex and certify feasibility."""
     A, senses, b = constraint_arrays(model)
-    result = simplex.solve(
-        model.objective, A, senses, b,
-        lower=np.zeros(model.ncols), upper=model.upper, start=start_basis(model),
-    )
+    result = simplex.solve(model.objective, A, senses, b, upper=model.upper,
+                           start=start_basis(model))
     if result.status != "optimal":
         raise RuntimeError(f"LP solve failed with status {result.status!r}")
 
@@ -229,14 +221,7 @@ def solve_lp(model: LpModel) -> LpSolution:
     mass = x3.sum(axis=(1, 2))
     if np.any(np.abs(mass - 1.0) > 1e-7):
         raise RuntimeError(f"per-job mass deviates from 1: {mass}")
-    return LpSolution(
-        x=x3, objective=result.objective,
-        iterations=result.iterations,
-        bound_flips=result.bound_flips,
-        degenerate_pivots=result.degenerate_pivots,
-        bland=result.bland,
-        kernel_max=result.kernel_max,
-    )
+    return LpSolution(**{**vars(result), "x": x3})
 
 
 def _max_residual(A, senses, b, x) -> float:

@@ -51,7 +51,7 @@ structural, or the row's own slack.  It checks that the basis is
 non-singular and that its basic solution is primal feasible, and raises
 ``ValueError`` otherwise; there is no phase 1 to fall back to.  Without a
 start every row starts on its slack, which needs every row to be an
-inequality whose slack is feasible at the lower bounds.  ``lp.solve_lp``
+inequality whose slack is feasible at zero.  ``lp.solve_lp``
 starts at the vertex of a list schedule (the ``lp.py`` docstring gives why
 it is one).  A kernel row has no basic slack; its slot names one
 placeholder column, fixed at zero, that is never priced.
@@ -67,7 +67,7 @@ for reduced costs, and :data:`PIVOT_TOL` and :data:`TIE_TOL` for the ratio test.
 
 The entry point :func:`solve` takes the problem in row form
 
-    minimize c @ x   s.t.   A x (sense) b,   lower <= x <= upper
+    minimize c @ x   s.t.   A x (sense) b,   0 <= x <= upper
 
 with senses drawn from ``{"=", "<=", ">="}``.  Infinite uppers are allowed.
 """
@@ -122,17 +122,17 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
     ``start[k]`` is the structural column basic on row k, or -1 for row k's
     own slack; ``None`` puts every row on its slack.  A start whose basis is
     singular or whose basic solution breaks a bound raises ``ValueError``.
+    ``lower`` may only be ``None`` or zeros: every lower bound is 0.
     """
     cfg = config or SolverConfig()
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     nrows, ncols = A.shape
-    if lower is None:
-        lower = np.zeros(ncols)
+    if lower is not None and np.any(np.asarray(lower, dtype=float) != 0.0):
+        raise ValueError("every lower bound must be 0")
     if upper is None:
         upper = np.full(ncols, np.inf)
-    lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
 
     sign_of = {"<=": 1.0, ">=": -1.0, "=": 0.0}
@@ -142,9 +142,8 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
     row_sign = np.array([sign_of[s] for s in senses])
     nslack = np.count_nonzero(row_sign)
     # the columns: structurals, a slack per inequality row, the placeholder
-    lo = np.concatenate([lower, np.zeros(nslack + 1)])
     hi = np.concatenate([upper, np.full(nslack, np.inf), [0.0]])
-    at_upper = np.zeros(len(lo), dtype=bool)
+    at_upper = np.zeros(len(hi), dtype=bool)
     feas_tol = FEASIBILITY_TOL * max(1.0, np.abs(b).max(initial=0.0))
     work = {"bound_flips": 0, "degenerate_pivots": 0, "bland": False}
 
@@ -152,12 +151,12 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
         rows, cols = _start_kernel(np.full(nrows, -1) if start is None else start, ncols, row_sign)
         kernel = _Kernel(A, row_sign, rows, cols)
         try:
-            x = _factor(kernel, b, lo, hi, at_upper)
+            x = _factor(kernel, b, hi, at_upper)
         except SimplexError as exc:
             raise ValueError(f"start basis is singular: {exc}") from exc
         basic = kernel.basic_cols()
         xb = x[basic]
-        gap = np.maximum(lo[basic] - xb, xb - hi[basic]).max(initial=0.0)
+        gap = np.maximum(-xb, xb - hi[basic]).max(initial=0.0)
         if not gap <= feas_tol:
             raise ValueError(f"start basis is not primal feasible: a basic variable "
                              f"is {gap} outside its bounds (tolerance {feas_tol})")
@@ -166,9 +165,9 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
             raise
         raise ValueError(f"{exc} (no start was given, so every row starts on its slack)") from None
 
-    cost = np.zeros(len(lo))
+    cost = np.zeros(len(hi))
     cost[:ncols] = c
-    status, iterations = _iterate(kernel, b, cost, lo, hi, x, at_upper, cfg, work)
+    status, iterations = _iterate(kernel, b, cost, hi, x, at_upper, cfg, work)
     x = x[:ncols] if status == "optimal" else None
     objective = None if x is None else float(c @ x)
     return SolveResult(status, x, objective, iterations, **work, kernel_max=kernel.kmax)
@@ -309,7 +308,7 @@ class _Kernel:
             self.logical[i], self.dsign[i] = q, qsign
 
 
-def _factor(kernel: _Kernel, b, lo, hi, at_upper) -> np.ndarray:
+def _factor(kernel: _Kernel, b, hi, at_upper) -> np.ndarray:
     """Rebuild B11^-1 from scratch and return the point of the basis."""
     k, A = kernel.k, kernel.A
     rows, cols = kernel.rows[:k], kernel.cols[:k]
@@ -317,7 +316,7 @@ def _factor(kernel: _Kernel, b, lo, hi, at_upper) -> np.ndarray:
         kernel.inv[:k, :k] = np.linalg.inv(A[np.ix_(rows, cols)])
     except np.linalg.LinAlgError as exc:
         raise SimplexError(f"singular basis: {exc}") from exc
-    x = np.where(at_upper, np.where(np.isfinite(hi), hi, lo), lo)
+    x = np.where(at_upper & np.isfinite(hi), hi, 0.0)
     x[cols] = 0.0
     rhs = b - A @ x[:kernel.ncols]      # nonbasic slacks rest at zero
     x[cols] = xJ = kernel.inv[:k, :k] @ rhs[rows]
@@ -326,7 +325,7 @@ def _factor(kernel: _Kernel, b, lo, hi, at_upper) -> np.ndarray:
     return x
 
 
-def _iterate(kernel: _Kernel, b, cost, lo, hi, x, at_upper, cfg: SolverConfig, work: dict):
+def _iterate(kernel: _Kernel, b, cost, hi, x, at_upper, cfg: SolverConfig, work: dict):
     """Pivot from the kernel's basis to a final status.
 
     ``x`` enters as the point of the basis; it, ``at_upper`` and the kernel
@@ -338,22 +337,22 @@ def _iterate(kernel: _Kernel, b, cost, lo, hi, x, at_upper, cfg: SolverConfig, w
     degen_run = 0
     bland = False
     # only columns that can move are priced: fixed ones never enter
-    cols = np.flatnonzero(hi - lo > PIVOT_TOL)
+    cols = np.flatnonzero(hi > PIVOT_TOL)
     ns = int(np.searchsorted(cols, ncols))          # cols[:ns] are structurals
     At = np.ascontiguousarray(kernel.A[:, cols[:ns]].T)
     lrow, lsign = kernel.lrow[cols[ns:] - ncols], kernel.lsign[cols[ns:] - ncols]
     cost_cols = cost[cols]
-    position = np.full(len(lo), -1)         # of each column in cols
+    position = np.full(len(hi), -1)         # of each column in cols
     position[cols] = np.arange(len(cols))
     # +1 at lower, -1 at upper, 0 when basic: the eligible columns are those
     # with direction * d < -tol, and the most negative has the largest |d|
-    direction = np.where(kernel.in_basis(len(lo))[cols], 0.0, np.where(at_upper[cols], -1.0, 1.0))
+    direction = np.where(kernel.in_basis(len(hi))[cols], 0.0, np.where(at_upper[cols], -1.0, 1.0))
     score = np.empty(len(cols))
     since_refactor = 0
 
     for it in range(cfg.max_iterations):
         if since_refactor >= REFACTOR_EVERY:
-            x[...] = _factor(kernel, b, lo, hi, at_upper)
+            x[...] = _factor(kernel, b, hi, at_upper)
             since_refactor = 0
 
         y = kernel.btran(cost)
@@ -381,7 +380,7 @@ def _iterate(kernel: _Kernel, b, cost, lo, hi, x, at_upper, cfg: SolverConfig, w
         step = sign * w[slots]               # x_B decreases by step * t
         moving = basic[slots]
         xb = x[moving]
-        ratio = np.where(step > 0, xb - lo[moving], hi[moving] - xb) / np.abs(step)
+        ratio = np.where(step > 0, xb, hi[moving] - xb) / np.abs(step)
         np.maximum(ratio, 0.0, out=ratio)
         t_best = ratio.min() if len(slots) else np.inf
         leave = -1                           # -1: bound flip of the entering column
@@ -389,8 +388,8 @@ def _iterate(kernel: _Kernel, b, cost, lo, hi, x, at_upper, cfg: SolverConfig, w
             ties = (ratio <= t_best + TIE_TOL).nonzero()[0]
             leave = int(ties[moving[ties].argmin()])
             t_best = ratio[leave]
-        if hi[q] - lo[q] < t_best - TIE_TOL:
-            t_best = hi[q] - lo[q]
+        if hi[q] < t_best - TIE_TOL:
+            t_best = hi[q]
             leave = -1
         if not t_best < np.inf:
             return "unbounded", it
@@ -402,7 +401,7 @@ def _iterate(kernel: _Kernel, b, cost, lo, hi, x, at_upper, cfg: SolverConfig, w
         x[basic] -= (t_best * sign) * w
         if leave == -1:
             at_upper[q] = ~at_upper[q]
-            x[q] = hi[q] if at_upper[q] else lo[q]
+            x[q] = hi[q] if at_upper[q] else 0.0
             direction[j] = -direction[j]
             work["bound_flips"] += 1
             continue
@@ -412,7 +411,7 @@ def _iterate(kernel: _Kernel, b, cost, lo, hi, x, at_upper, cfg: SolverConfig, w
         bl = moving[leave]
         # leaving variable parks at whichever of its bounds the ratio test hit
         at_upper[bl] = step[leave] < 0
-        x[bl] = hi[bl] if at_upper[bl] else lo[bl]
+        x[bl] = hi[bl] if at_upper[bl] else 0.0
         at_upper[q] = False
         direction[j] = 0.0
         if position[bl] >= 0:

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import re
 
@@ -43,6 +45,7 @@ def test_gen_stdout_roundtrips(capsys):
     data = json.loads(out)
     assert len(data["jobs"]) == 4
     assert len(data["speeds"]) == 2
+    assert data == to_dict(generate(3, 4, 2))     # no flag given: the generator's defaults
 
 
 def _help(capsys, parse, *argv):
@@ -256,12 +259,24 @@ def test_missing_instance_file_exit_code(capsys):
     assert "error:" in err
 
 
-def test_malformed_instance_exit_code(tmp_path, capsys):
+#: an instance file's text, and the message after ``error:``; ``{path}`` is the file's path
+MALFORMED = {
+    "missing fields": ('{"jobs": "nope"}', "missing fields ['alpha', 'beta', 'delta', 'edges', "
+                                           "'epsilon', 'objective', 'speeds']"),
+    "top-level list": ("[1, 2]", "instance file must contain a JSON object"),
+    "truncated": ('{"jobs": [', "{path}: Expecting value: line 1 column 11 (char 10)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_instance_exit_code(case, tmp_path, capsys):
+    text, message = MALFORMED[case]
     bad = tmp_path / "bad.json"
-    bad.write_text('{"jobs": "nope"}')
-    rc, _, err = run_cli(capsys, "solve", str(bad))
+    bad.write_text(text)
+    rc, out, err = run_cli(capsys, "solve", str(bad))
     assert rc == 2
-    assert "error:" in err
+    assert out == ""
+    assert err == f"error: {message.format(path=bad)}\n"
 
 
 BAD_TYPES = {
@@ -314,6 +329,21 @@ BAD_TYPES = {
                        "field 'edges': each edge must be a pair of job ids, got [1, 2, 3]"),
     "weight 10**400": (lambda d: d["jobs"][0].update(weight=10**400),
                        "field 'weight': int too large to convert to float"),
+    # the shape of a job, its energy and the objective
+    "energy 5": (lambda d: d["jobs"][0].update(energy=5),
+                 "job 1: energy must be an object with a 'type' field"),
+    "energy type 'cubic'": (lambda d: d["jobs"][0].update(energy={"type": "cubic"}),
+                            "job 1: unknown energy type 'cubic'"),
+    "energy field 'w'": (lambda d: d["jobs"][0]["energy"].update(w=1.0),
+                         "job 1: unknown energy fields ['w']"),
+    "energy without v": (lambda d: d["jobs"][0].update(energy={"type": "poly", "beta": 2.0}),
+                         "job 1: bad polynomial energy: 'v'"),
+    "job 5": (lambda d: d["jobs"].__setitem__(1, 5), "jobs[1] must be an object"),
+    "job field 'color'": (lambda d: d["jobs"][0].update(color="red"),
+                          "jobs[0]: unknown fields ['color']"),
+    "objective 'late'": (lambda d: d.update(objective="late"),
+                         "field 'objective' must be one of ['completion', 'tardiness']: "
+                         "'late' is not a valid Objective"),
 }
 
 
@@ -385,7 +415,7 @@ def test_corrupt_lp_solution_exits_2(tmp_path, capsys, monkeypatch):
         x = np.zeros((2, 1, model.grid.T))
         x[0, 0, -1] = 1.0
         x[1, 0, 0] = 1.0
-        return lp.LpSolution(x=x, objective=0.0)
+        return lp.LpSolution(status="optimal", x=x, objective=0.0, iterations=0)
 
     monkeypatch.setattr(lp, "solve_lp", successor_first)
     rc, out, err = run_cli(capsys, "solve", str(path))
@@ -492,3 +522,42 @@ def test_bad_alpha_override_exits_2_before_the_lp(objective, alpha, tmp_path, ca
     assert out == ""
     assert err.startswith("error:")
     assert "alpha must lie in (0, 1)" in err
+
+
+def _actions(command: str) -> list:
+    """The argparse actions of the subcommand ``command``."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]._actions
+
+
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_each_generator_field_has_one_flag_without_a_default(command):
+    actions = _actions(command)
+    for field in dataclasses.fields(GeneratorConfig):
+        flags = [a for a in actions if a.dest == field.name]
+        assert len(flags) == 1, field.name
+        # an absent flag leaves the field to GeneratorConfig's own default
+        assert flags[0].default is argparse.SUPPRESS, field.name
+
+
+#: a bad generator flag, and what stderr must say
+BAD_GENERATOR_FLAGS = {
+    "--edge-density 2": "error: edge_density must be in [0, 1], got 2.0\n",
+    "--rho-max 0": "error: rho_max must be positive, got 0\n",
+    "--objective tardiness --release-max 1": "error: tardiness instances cannot have release dates\n",
+    "--energy cubic": "argument --energy: invalid choice: 'cubic'",
+    "--beta abc": "argument --beta: invalid float value: 'abc'",
+}
+
+
+@pytest.mark.parametrize("command", ["gen", "bench"])
+@pytest.mark.parametrize("flags", BAD_GENERATOR_FLAGS)
+def test_bad_generator_flag_exits_2(flags, command, capsys):
+    try:                    # argparse exits on a value it cannot read
+        rc = cli.main([command, "--seed", "1", "--n", "3", "--m", "2", *flags.split()])
+    except SystemExit as stop:
+        rc = stop.code
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert BAD_GENERATOR_FLAGS[flags] in err

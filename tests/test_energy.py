@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -34,6 +36,22 @@ def test_table_on_grid_value():
 def test_table_out_of_range_errors():
     with pytest.raises(ValueError):
         cost_at(TableEnergy((1.0, 2.0)), 1, 3.0, speeds=(1.0, 2.0))
+
+
+#: a table call the energy models refuse, and its message
+ENERGY_MISUSE = {
+    "table without speeds": (lambda: cost_at(TableEnergy((1.0, 2.0)), 1, 1.0),
+                             "table energy evaluation requires the speed grid"),
+    "convexify length mismatch": (lambda: convexify((1.0,), (1.0, 2.0)),
+                                  "one cost per grid speed required"),
+}
+
+
+@pytest.mark.parametrize("case", ENERGY_MISUSE)
+def test_table_misuse_errors(case):
+    call, message = ENERGY_MISUSE[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_convexify_keeps_convex_table():

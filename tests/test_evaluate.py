@@ -89,6 +89,13 @@ def test_precedence_violation_reported():
     assert any("precedence" in msg for msg in check_feasible(inst, sched))
 
 
+def test_overlap_with_the_previous_job_reported():
+    inst = Instance(jobs=(Job(1, 1, 1.0), Job(2, 1, 1.0)), speedset=SpeedSet((1.0,), 1.0))
+    sched = Schedule(order=(1, 2), speed={1: 1.0, 2: 1.0}, start={1: 0.0, 2: 0.5},
+                     completion={1: 1.0, 2: 1.5}, breakdown=None)
+    assert "job 2: overlaps the previous job" in check_feasible(inst, sched)
+
+
 def test_order_missing_a_job_reported():
     inst = Instance(jobs=(Job(1, 1, 1.0), Job(2, 1, 1.0)), speedset=SpeedSet((1.0,), 1.0))
     sched = Schedule(order=(1,), speed={1: 1.0}, start={1: 0.0}, completion={1: 1.0},

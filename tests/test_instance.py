@@ -1,6 +1,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -153,6 +154,23 @@ def test_generate_single_job():
     inst = generate(11, 1, 1)
     assert inst.n == 1
     assert validate(inst) == []
+
+
+#: the message of each generator setting that is refused before any draw
+BAD_GENERATOR = {
+    "edge_density must be in [0, 1], got 1.5": lambda: GeneratorConfig(edge_density=1.5),
+    "rho_max must be positive, got 0": lambda: GeneratorConfig(rho_max=0),
+    "unknown energy kind 'cubic'": lambda: GeneratorConfig(energy_kind="cubic"),
+    "tardiness instances cannot have release dates":
+        lambda: GeneratorConfig(objective=Objective.TARDINESS, release_max=1.0),
+    "need n >= 1 jobs and m >= 1 speeds, got n=0, m=2": lambda: generate(1, 0, 2),
+}
+
+
+@pytest.mark.parametrize("message", BAD_GENERATOR)
+def test_generator_refuses_each_bad_setting(message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BAD_GENERATOR[message]()
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,38 @@ def test_long_processing_times_pass_the_relative_residual_check():
         assert residuals[-1] <= 1e-7 * np.abs(b).max()
     # seed 7 ends past the absolute limit, so only the relative one admits it
     assert max(residuals) > 1e-7
+
+
+def _shift_job_1(result, b):
+    """Take 1.5e-7 of job 1's mass off its largest column: more than the
+    mass check allows, less than the residual limit on these right-hand sides."""
+    assert 1e-7 * np.abs(b).max() >= 2e-7
+    x = result.x.copy()
+    first = x[:x.size // 4]                 # job 1 of 4 leads the columns
+    first[first.argmax()] -= 1.5e-7
+    return dataclasses.replace(result, x=x)
+
+
+#: an edit of the simplex result, and the certificate failure it must raise
+CERTIFICATE_FAILURES = {
+    "status": (lambda result, b: dataclasses.replace(result, status="iteration_limit", x=None,
+                                                     objective=None),
+               "LP solve failed with status 'iteration_limit'"),
+    "residual": (lambda result, b: dataclasses.replace(result, x=np.zeros_like(result.x)),
+                 "LP solution residual 1.0 exceeds"),
+    "mass": (_shift_job_1, "per-job mass deviates from 1"),
+}
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_FAILURES)
+def test_solve_lp_refuses_an_uncertified_result(case, monkeypatch):
+    edit, message = CERTIFICATE_FAILURES[case]
+    solve = es.simplex.solve
+    monkeypatch.setattr(es.simplex, "solve",
+                        lambda c, A, senses, b, **kw: edit(solve(c, A, senses, b, **kw), b))
+    inst = generate(1, 4, 2, GeneratorConfig(edge_density=0.0))
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        solve_lp(build_lp(inst, build_grid(inst)))
 
 
 def _loop_max_residual(A, senses, b, x):

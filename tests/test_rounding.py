@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,8 @@ def alpha_data(masses, alpha, speeds=None):
     n, m, _ = x.shape
     inst = Instance(jobs=tuple(Job(i + 1, 1, 1.0) for i in range(n)),
                     speedset=SpeedSet(speeds or tuple(1.0 + j for j in range(m)), 1.0))
-    return compute_alpha_data(LpSolution(x=x, objective=0.0), inst, alpha)
+    return compute_alpha_data(
+        LpSolution(status="optimal", x=x, objective=0.0, iterations=0), inst, alpha)
 
 
 def test_alpha_interval_crosses_at_second():
@@ -303,6 +306,10 @@ def test_saias_requires_matching_objective():
     grid, sol = run_pipeline(inst)
     with pytest.raises(ValueError):
         saias(inst, sol)
+    released = dataclasses.replace(
+        inst, jobs=(dataclasses.replace(inst.jobs[0], release=1.0), *inst.jobs[1:]))
+    with pytest.raises(ValueError, match="saias_t does not support release dates"):
+        saias_t(released, sol)
     comp = generate(5, 2, 2, GeneratorConfig())
     grid, sol = run_pipeline(comp)
     with pytest.raises(ValueError):

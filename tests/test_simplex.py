@@ -204,6 +204,15 @@ def test_no_start_needs_a_feasible_slack_on_every_row(sense, b, match):
     assert "no start was given" in str(raised.value)
 
 
+@pytest.mark.parametrize("sense,lower,match", [
+    ("<", None, "unknown row sense '<'"),
+    ("<=", [0.5], "every lower bound must be 0"),
+], ids=["unknown sense", "non-zero lower"])
+def test_bad_sense_or_lower_bound_raises_value_error(sense, lower, match):
+    with pytest.raises(ValueError, match=match):
+        solve([1.0], [[1.0]], [sense], [1.0], lower, upper=[1.0])
+
+
 def _kernel_drift(kernel):
     """max |B11^-1 B11 - I| of the kernel's current inverse."""
     k = kernel.k
