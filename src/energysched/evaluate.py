@@ -1,4 +1,5 @@
-"""Schedule feasibility checking and exact cost evaluation.
+"""Schedules: assembly from an order and speeds, feasibility checking and
+exact cost evaluation.
 
 This is the single evaluation path shared by the rounding algorithms, the
 exact oracle and the benchmark harness, so every reported ratio compares
@@ -7,11 +8,12 @@ like with like.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, Objective
+from .instance import Instance
 
 _TIME_TOL = 1e-9
 
@@ -19,11 +21,24 @@ _TIME_TOL = 1e-9
 @dataclass(frozen=True)
 class CostBreakdown:
     energy_total: float
-    scheduling_total: float      # sum w_i C_i, or sum w_i (C_i - d_i)^+
+    scheduling_total: float      # sum w_i (C_i - d_i)^+, d_i = Instance.due
 
     @property
     def total(self) -> float:
         return self.energy_total + self.scheduling_total
+
+
+@dataclass(frozen=True)
+class Schedule:
+    order: tuple             # job ids in processing order
+    speed: dict              # job id -> chosen grid speed
+    start: dict              # job id -> start time
+    completion: dict         # job id -> completion time
+    breakdown: CostBreakdown
+
+    @property
+    def cost(self) -> float:
+        return self.breakdown.total
 
 
 def check_feasible(instance: Instance, schedule) -> list:
@@ -77,12 +92,23 @@ def cost(instance: Instance, schedule) -> CostBreakdown:
     speeds = np.asarray(instance.speedset.speeds)
     energy_total = 0.0
     scheduling_total = 0.0
-    for job, costs in zip(instance.jobs, instance.energy_costs):
+    for job, costs, due in zip(instance.jobs, instance.energy_costs, instance.due.tolist()):
         # the grid speed check_feasible matched: the nearest one
         energy_total += float(costs[np.abs(speeds - schedule.speed[job.id]).argmin()])
-        c = schedule.completion[job.id]
-        if instance.objective is Objective.TARDINESS:
-            scheduling_total += job.weight * max(c - job.deadline, 0.0)
-        else:
-            scheduling_total += job.weight * c
+        scheduling_total += job.weight * max(schedule.completion[job.id] - due, 0.0)
     return CostBreakdown(energy_total=energy_total, scheduling_total=scheduling_total)
+
+
+def assemble(instance: Instance, order, speed_by_id) -> Schedule:
+    """Run jobs in order, each starting at max(release, previous completion)."""
+    by_id = {job.id: job for job in instance.jobs}
+    start, completion = {}, {}
+    prev = 0.0
+    for jid in order:
+        job = by_id[jid]
+        start[jid] = max(job.release, prev)
+        completion[jid] = start[jid] + job.rho / speed_by_id[jid]
+        prev = completion[jid]
+    sched = Schedule(tuple(order), dict(speed_by_id), start, completion, breakdown=None)
+    # cost reads every field but the breakdown
+    return dataclasses.replace(sched, breakdown=cost(instance, sched))

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import timegrid
 from .energy import EnergyCostDescriptor, PolynomialEnergy, TableEnergy, convexify, cost_at
-from .timegrid import MAX_INTERVALS, interval_count
 
 
 class Objective(enum.Enum):
@@ -144,6 +144,15 @@ class Instance:
         costs.flags.writeable = False
         return costs
 
+    @functools.cached_property
+    def due(self) -> np.ndarray:
+        """Read-only (n,) due dates: the deadlines under tardiness, 0 under
+        completion time, so both objectives cost ``weight * max(C - due, 0)``."""
+        tardy = self.objective is Objective.TARDINESS
+        due = np.array([job.deadline if tardy else 0.0 for job in self.jobs], dtype=float)
+        due.flags.writeable = False
+        return due
+
     @property
     def has_releases(self) -> bool:
         return any(j.release > 0 for j in self.jobs)
@@ -246,13 +255,11 @@ def validate(instance: Instance) -> list:
         report.append(f"beta must be >= 2, got {instance.beta}")
     if instance.objective is Objective.TARDINESS and any(j.release > 0 for j in instance.jobs):
         report.append("tardiness objective requires all release dates to be 0")
-    if not report:                  # the count needs valid fields
-        count = interval_count(instance)
-        if count > MAX_INTERVALS:
-            report.append(
-                f"epsilon = {instance.epsilon} gives a time grid of {count:.4g} "
-                f"intervals, more than {MAX_INTERVALS}; use a larger epsilon"
-            )
+    if not report:                  # the grid needs valid fields
+        try:
+            timegrid.build_grid(instance)
+        except ValueError as exc:   # a grid too fine to build
+            report.append(str(exc))
     return report
 
 

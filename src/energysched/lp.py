@@ -6,8 +6,9 @@ zero-based positions i < n and j < m, intervals one-based t <= T, and column
 The variable at speed j and interval t carries objective coefficient
 
 * energy of running the whole job at speed sigma_j, plus
-* ``w_i * tau_{t-1}`` (completion time) or ``w_i * (tau_{t-1} - d_i)^+``
-  (tardiness).
+* ``w_i * (tau_{t-1} - d_i)^+``, with d_i the deadline under tardiness and
+  d_i = 0 under completion time (``Instance.due``); every
+  ``tau_{t-1} >= kappa > 0``, so the latter is ``w_i * tau_{t-1}``.
 
 Variables whose interval ends before the job could possibly finish are
 pinned to zero by an upper bound of 0.  With ``X_i(t)`` the job's mass in
@@ -98,8 +99,7 @@ class LpSolution(simplex.SolveResult):
 
 def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     """The relaxation of ``instance`` on ``grid``, for the instance's objective."""
-    tardiness = instance.objective is Objective.TARDINESS
-    if tardiness and instance.has_releases:
+    if instance.objective is Objective.TARDINESS and instance.has_releases:
         raise ValueError("tardiness formulation does not support release dates")
     n, m, T = instance.n, instance.speedset.m, grid.T
     jobs = instance.jobs
@@ -109,11 +109,7 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     release = np.array([job.release for job in jobs])
     tau = np.array(grid.tau)
 
-    if tardiness:
-        deadline = np.array([job.deadline for job in jobs])
-        sched = weight[:, None] * np.maximum(tau[:-1] - deadline[:, None], 0.0)
-    else:
-        sched = weight[:, None] * tau[:-1]
+    sched = weight[:, None] * np.maximum(tau[:-1] - instance.due[:, None], 0.0)
     obj = (instance.energy_costs[:, :, None] + sched[:, None, :]).ravel()
 
     # a column is pinned when its interval ends before the job can finish

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instance import Instance, Objective
-from .rounding import Schedule, assemble
+from .evaluate import Schedule, assemble
+from .instance import Instance
 
 #: default (n_cap, m_cap): most jobs and most speeds ``brute_force`` accepts
 DEFAULT_CAPS = (7, 4)
@@ -77,16 +77,16 @@ def brute_force(instance: Instance, n_cap: int = DEFAULT_CAPS[0],
             raise ValueError(f"job {job.id} has negative weight {job.weight}")
     n, m = instance.n, instance.speedset.m
     sigma = np.asarray(instance.speedset.speeds)
-    tardy = instance.objective is Objective.TARDINESS
     rank = sorted(range(n), key=lambda k: instance.jobs[k].id)   # position -> job
     jobs, costs = [instance.jobs[k] for k in rank], instance.energy_costs[rank]
     pos = {job.id: k for k, job in enumerate(jobs)}
     need = [sum(1 << pos[a] for a in instance.precedence.predecessors(job.id)) for job in jobs]
     proc = np.array([job.rho / sigma for job in jobs])
-    release, deadline, weight = (np.array([getattr(j, f) for j in jobs], dtype=float)
-                                 for f in ("release", "deadline", "weight"))
+    release, weight = (np.array([getattr(j, f) for j in jobs], dtype=float)
+                       for f in ("release", "weight"))
+    due = instance.due[rank]
     horizon = release.max() + proc.max(axis=1).sum()
-    bound = np.abs(costs).max(axis=1) + weight * (horizon + tardy * np.abs(deadline))
+    bound = np.abs(costs).max(axis=1) + weight * (horizon + np.abs(due))
     margin = 8 * n * np.finfo(float).eps * bound.sum()
     fronts = {0: (np.zeros(1), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64))}
     for mask in range(1, 1 << n):
@@ -100,7 +100,7 @@ def brute_force(instance: Instance, n_cap: int = DEFAULT_CAPS[0],
         t = (t[:, None] + costs[k]).ravel()
         oc, sc = (oc * n + k).repeat(m), (sc[:, None] * m + np.arange(m)).ravel()
         k = k.repeat(m)
-        t += weight[k] * (np.maximum(c - deadline[k], 0.0) if tardy else c)
+        t += weight[k] * np.maximum(c - due[k], 0.0)
         s = np.lexsort((t, c))
         c, t, oc, sc = c[s], t[s], oc[s], sc[s]
         s = t - np.minimum.accumulate(t) <= margin     # least T at a C no larger

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import energy as energy_mod
 from . import instance as instance_mod
-from . import lp, oracle, rounding, timegrid
+from . import evaluate, lp, oracle, rounding, timegrid
 from .instance import Instance, Objective
 
 
@@ -34,7 +34,7 @@ class PipelineResult:
     grid: "timegrid.TimeGrid"
     model: "lp.LpModel"
     solution: "lp.LpSolution"
-    schedule: "rounding.Schedule"
+    schedule: "evaluate.Schedule"
     report: dict
 
 
@@ -66,8 +66,8 @@ def run(instance: Instance, with_oracle: bool = False,
     scaled-up speed; with the oracle, ``SizeCapError`` when the instance
     exceeds ``oracle_caps``.
     """
-    # a library caller's instance has not been through the parser: a tiny
-    # epsilon hangs the grid, and alpha at 0 or 1 divides by zero
+    # a library caller's instance has not been through the parser: alpha at
+    # 0 or 1 divides by zero, and a grid too fine to build is refused
     problems = instance_mod.validate(instance)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))

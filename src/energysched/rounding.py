@@ -52,19 +52,6 @@ class AlphaData:
     speed: float             # alpha speed (harmonic mean under mu)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    order: tuple             # job ids in processing order
-    speed: dict              # job id -> chosen grid speed
-    start: dict              # job id -> start time
-    completion: dict         # job id -> completion time
-    breakdown: "evaluate.CostBreakdown"
-
-    @property
-    def cost(self) -> float:
-        return self.breakdown.total
-
-
 def compute_alpha_data(solution: LpSolution, instance: Instance, alpha: float) -> list:
     """Each job's alpha interval, mass truncated to alpha, speed pmf and speed.
 
@@ -166,23 +153,7 @@ def check_speed_range(instance: Instance) -> None:
         )
 
 
-def assemble(instance: Instance, order, speed_by_id) -> Schedule:
-    """Run jobs in order, each starting at max(release, previous completion)."""
-    by_id = {job.id: job for job in instance.jobs}
-    start, completion = {}, {}
-    prev = 0.0
-    for jid in order:
-        job = by_id[jid]
-        start[jid] = max(job.release, prev)
-        completion[jid] = start[jid] + job.rho / speed_by_id[jid]
-        prev = completion[jid]
-    sched = Schedule(tuple(order), dict(speed_by_id), start, completion, breakdown=None)
-    # evaluate.cost reads every field but the breakdown, which it then fills
-    object.__setattr__(sched, "breakdown", evaluate.cost(instance, sched))
-    return sched
-
-
-def _round(instance: Instance, solution: LpSolution, grid_speed) -> Schedule:
+def _round(instance: Instance, solution: LpSolution, grid_speed) -> evaluate.Schedule:
     """Order the jobs by alpha interval and run each at
     ``grid_speed(alpha speed, the job's grid costs)``."""
     data = compute_alpha_data(solution, instance, instance.alpha)
@@ -192,10 +163,10 @@ def _round(instance: Instance, solution: LpSolution, grid_speed) -> Schedule:
         job.id: grid_speed(d.speed, costs)
         for job, d, costs in zip(instance.jobs, data, instance.energy_costs)
     }
-    return assemble(instance, order, speed_by_id)
+    return evaluate.assemble(instance, order, speed_by_id)
 
 
-def saias(instance: Instance, solution: LpSolution) -> Schedule:
+def saias(instance: Instance, solution: LpSolution) -> evaluate.Schedule:
     """Weighted-completion-time rounding of the LP relaxation solution."""
     if instance.objective is not Objective.COMPLETION_TIME:
         raise ValueError("saias requires the completion-time objective")
@@ -204,7 +175,7 @@ def saias(instance: Instance, solution: LpSolution) -> Schedule:
                   lambda speed, costs: round_speed_energy_aware(speed, ss, costs))
 
 
-def saias_t(instance: Instance, solution: LpSolution) -> Schedule:
+def saias_t(instance: Instance, solution: LpSolution) -> evaluate.Schedule:
     """Weighted-tardiness rounding: scale target speeds up by gamma, round up."""
     if instance.objective is not Objective.TARDINESS:
         raise ValueError("saias_t requires the tardiness objective")

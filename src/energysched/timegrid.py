@@ -5,12 +5,11 @@ is the closed singleton ``[kappa, kappa]`` where ``kappa = rho_min / sigma_max``
 is the earliest any job can complete; interval ``t >= 2`` is the half-open
 ``(tau_{t-1}, tau_t]`` with ``tau_t = kappa * (1 + epsilon)**(t-1)``.  The grid
 extends just far enough to hold every job at the slowest speed after the last
-release.
+release, and to at most ``MAX_INTERVALS`` intervals: a finer grid is refused.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,38 +34,29 @@ class TimeGrid:
         return self.tau[t]
 
 
-#: most intervals :func:`interval_count` may give before ``validate`` rejects
-#: the instance.  The LP has n*m*T columns and a capacity block of about
-#: n*m*T^2/2 nonzeros, so no solve is within reach past this.
+#: most intervals :func:`build_grid` builds before it refuses the instance.
+#: The LP has n*m*T columns and a capacity block of about n*m*T^2/2
+#: nonzeros, so no solve is within reach past this.
 MAX_INTERVALS = 1000
 
 
-def _span(instance: Instance) -> tuple:
-    """``kappa`` and the horizon ``max_i r_i + sum_i rho_i / sigma_1``."""
+def build_grid(instance: Instance) -> TimeGrid:
+    """Smallest grid covering ``max_i r_i + sum_i rho_i / sigma_1``.
+
+    Raises ``ValueError`` naming epsilon once the grid would have more than
+    :data:`MAX_INTERVALS` intervals.
+    """
     kappa = min(j.rho for j in instance.jobs) / instance.speedset.max
     horizon = max(j.release for j in instance.jobs) + sum(
         j.rho / instance.speedset.min for j in instance.jobs
     )
-    return kappa, horizon
-
-
-def interval_count(instance: Instance) -> float:
-    """T of :func:`build_grid` in closed form, without building the grid.
-
-    ``1 + ceil(log(horizon / kappa) / log1p(epsilon))``; it can differ from
-    the built grid by one where rounding decides the last boundary, and it
-    is ``inf`` when epsilon is too small for the quotient to be finite.
-    """
-    kappa, horizon = _span(instance)
-    steps = math.log(horizon / kappa) / math.log1p(instance.epsilon)
-    return 1 + math.ceil(steps) if math.isfinite(steps) else math.inf
-
-
-def build_grid(instance: Instance) -> TimeGrid:
-    """Smallest grid covering ``max_i r_i + sum_i rho_i / sigma_1``."""
-    kappa, horizon = _span(instance)
     tau = [kappa, kappa]
     # repeated multiplication: each boundary ratio is (1 + epsilon) to 1 ulp
     while tau[-1] < horizon * (1 - 1e-15):
+        if len(tau) > MAX_INTERVALS:
+            raise ValueError(
+                f"epsilon = {instance.epsilon} gives a time grid of more than "
+                f"{MAX_INTERVALS} intervals; use a larger epsilon"
+            )
         tau.append(tau[-1] * (1 + instance.epsilon))
     return TimeGrid(kappa=kappa, tau=tuple(tau))

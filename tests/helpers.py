@@ -115,9 +115,9 @@ def reference_brute_force(instance):
     the lowest combination index.  Returns (cost, order, speed) as
     ``brute_force`` does.
     """
+    from energysched.evaluate import assemble
     from energysched.instance import Objective
     from energysched.oracle import _feasible_permutations
-    from energysched.rounding import assemble
 
     n, m = instance.n, instance.speedset.m
     sigma = np.asarray(instance.speedset.speeds)
@@ -170,11 +170,11 @@ def reference_list_schedule(instance):
     weight times its load; among the jobs whose predecessors are all placed,
     the largest weight-to-load ratio (the earliest deadline for tardiness)
     goes next, ties to the lowest position; the timing is
-    ``rounding.assemble``'s.  Returns (order, speed index by job id,
+    ``evaluate.assemble``'s.  Returns (order, speed index by job id,
     completion time by job id).
     """
+    from energysched.evaluate import assemble
     from energysched.instance import Objective
-    from energysched.rounding import assemble
 
     speeds = instance.speedset.speeds
     total_weight = sum(job.weight for job in instance.jobs)

@@ -503,12 +503,20 @@ def test_tiny_epsilon_exits_2_without_building_the_grid(
         "solve --epsilon": ["solve", inst_path, "--epsilon", "1e-17"],
         "gen": ["gen", "--seed", "1", "--n", "3", "--m", "2", "--epsilon", "1e-17"],
     }[command]
-    monkeypatch.setattr(timegrid, "build_grid", _unreachable)
+    build_grid, built = timegrid.build_grid, []      # the epsilon of every grid built
+
+    def recording_build_grid(instance):
+        grid = build_grid(instance)
+        built.append(instance.epsilon)
+        return grid
+
+    monkeypatch.setattr(timegrid, "build_grid", recording_build_grid)
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert err.startswith("error:")
-    assert "epsilon = 1e-17" in err
+    assert "epsilon = 1e-17 gives a time grid of more than 1000 intervals" in err
+    assert 1e-17 not in built           # validate's call stopped at the limit
 
 
 @pytest.mark.parametrize("objective", ["completion", "tardiness"])

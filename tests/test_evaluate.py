@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 import energysched as es
@@ -13,8 +14,8 @@ from energysched import (
     check_feasible,
     cost,
 )
+from energysched.evaluate import Schedule, assemble
 from energysched.instance import GeneratorConfig, generate
-from energysched.rounding import Schedule, assemble
 
 
 def simple_instance(objective=Objective.COMPLETION_TIME, deadline=0.0):
@@ -138,3 +139,16 @@ def test_uniform_speedup_never_increases_tardiness():
     slow = assemble(inst, order, {j.id: inst.speedset.speeds[0] for j in inst.jobs})
     fast = assemble(inst, order, {j.id: inst.speedset.speeds[-1] for j in inst.jobs})
     assert fast.breakdown.scheduling_total <= slow.breakdown.scheduling_total + 1e-12
+
+
+def test_deadlines_are_ignored_under_completion_time():
+    inst = generate(3, 5, 3, GeneratorConfig(edge_density=0.2))
+    late = dataclasses.replace(
+        inst, jobs=tuple(dataclasses.replace(j, deadline=0.5 * j.id) for j in inst.jobs)
+    )
+    grid = es.build_grid(inst)
+    np.testing.assert_array_equal(es.build_lp(late, grid).objective,
+                                  es.build_lp(inst, grid).objective)
+    exact = es.brute_force(inst)
+    assert cost(late, exact) == cost(inst, exact) == exact.breakdown
+    assert es.brute_force(late) == exact

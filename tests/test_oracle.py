@@ -16,10 +16,10 @@ from energysched import (
     special_case_order,
 )
 from energysched.energy import TableEnergy
+from energysched.evaluate import assemble
 from energysched.instance import GeneratorConfig, generate
 from energysched import evaluate, lp, oracle, run
 from energysched.oracle import SizeCapError, _feasible_permutations
-from energysched.rounding import assemble
 from helpers import reference_brute_force
 
 N_CAP, M_CAP = oracle.DEFAULT_CAPS
