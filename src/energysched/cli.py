@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import instance as instance_mod
-from . import lp, oracle, pipeline, timegrid
+from . import lp, oracle, pipeline, rounding, timegrid
 from .instance import GeneratorConfig, Objective
 
 
@@ -85,8 +85,27 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _check_tardiness_ladder(cfg: GeneratorConfig, m: int) -> None:
+    """Refuse a tardiness batch whose speed ladders cannot span gamma.
+
+    ``generate`` draws each speed step at most 1 + delta apart, so sigma_m /
+    sigma_1 <= (1 + delta)**(m - 1); below gamma, ``check_speed_range``
+    would refuse every instance.
+    """
+    alpha = cfg.alpha if cfg.alpha is not None else instance_mod.default_alpha(cfg.objective, False)
+    gamma, span = rounding.tardiness_gamma(cfg.epsilon, alpha), (1 + cfg.delta) ** (m - 1)
+    if gamma * (1 - 1e-12) > span:
+        raise ValueError(
+            f"--objective tardiness needs speeds spanning gamma = {gamma:g}, but --m {m} "
+            f"and --delta {cfg.delta:g} give speed ladders spanning at most "
+            f"(1 + delta)**(m - 1) = {span:g}; raise --m or --delta"
+        )
+
+
 def cmd_bench(args) -> int:
     cfg = _generator_config(args)
+    if cfg.objective is Objective.TARDINESS:
+        _check_tardiness_ladder(cfg, args.m)
     rows = []
     for k in range(args.count):
         seed = args.seed + k

@@ -5,10 +5,10 @@ precedence-feasible order and every assignment of grid speeds, the ground
 truth the approximation ratios are measured against.  It is a forward
 dynamic program over job subsets (Held & Karp, 1962; Lawler & Moore, 1969):
 the cost still to come after a set S of placed jobs depends only on S and the
-completion time C, so each precedence-closed S, in increasing bitmask order,
-keeps a front of partial schedules (C, cost T, label).  A child repeats a
-full enumeration's floating-point steps in the same order, so each path's
-value is bit-identical to its enumeration leaf.  The label, an order code
+completion time C, so each precedence-closed S keeps a front of partial
+schedules (C, cost T, label).  A child repeats a full enumeration's
+floating-point steps in the same order, so each path's value is
+bit-identical to its enumeration leaf.  The label, an order code
 (``parent * n + k``, jobs numbered in sorted-id order) then a speed code
 (``parent * m + s``), ranks paths as the enumeration visits them.  Both
 codes must fit int64 (n**n and m**n), which at m <= n means n <= 15.
@@ -21,6 +21,16 @@ the margin.  The rule needs a cost to come that does not fall as C grows,
 so a negative weight is refused.  The least cost wins, ties to the smallest
 label: the enumeration's first order with the lowest value, and in it the
 lowest combination index.
+
+The program runs one popcount layer at a time.  Layer L holds the fronts of
+every precedence-closed S with L jobs (each S a bitmask, a "mask"), stored
+end to end with a size per mask.  A step pairs each S with each job k
+outside it whose predecessors lie in S, builds the child states of many
+masks in one pass, sorts them by (child mask, C, T), and prunes each
+child's front on padded (masks x longest front) and (masks x front x front)
+arrays.  It works through the child masks in runs whose padded arrays hold
+at most ``CHUNK_CELLS`` cells, which bounds the memory a step takes; the
+tests hold the tracemalloc peak at n = 12 under 8 MB.
 
 ``dual_cost`` / ``special_case_order`` cover the continuous-speed special
 cases without precedence or releases: with equal weights, or with equal
@@ -37,6 +47,11 @@ from .instance import Instance
 
 #: default (n_cap, m_cap): most jobs and most speeds ``brute_force`` accepts
 DEFAULT_CAPS = (7, 4)
+
+#: most cells in one padded block of a layer step, (masks x longest front) or
+#: (masks x front x front): the step works through its masks in runs of this
+#: size, which bounds the memory it takes
+CHUNK_CELLS = 1 << 15
 
 
 class SizeCapError(ValueError):
@@ -68,6 +83,60 @@ def check_size(instance: Instance, n_cap: int, m_cap: int) -> None:
                            f"up to m**n overflow int64")
 
 
+def _runs(size, cells):
+    """Split consecutive masks into runs whose padded block fits ``CHUNK_CELLS``.
+
+    A mask whose front holds F states takes ``cells(F)`` cells, so a run of
+    masks takes its length times the cells of its longest front.  Yields
+    (lo, hi, longest) per run; a single mask always forms a run.
+    """
+    lo, end = 0, len(size)
+    while lo < end:
+        hi, longest = end, size[lo:].max()
+        if (hi - lo) * cells(longest) > CHUNK_CELLS:
+            hi, longest = lo + 1, size[lo]
+            while hi < end and (hi + 1 - lo) * cells(max(longest, size[hi])) <= CHUNK_CELLS:
+                hi, longest = hi + 1, max(longest, size[hi])
+        yield lo, hi, longest
+        lo = hi
+
+
+def _cells(size):
+    """Each state's (row, column) in a padded (masks x longest front) array
+    whose rows hold the fronts of these sizes, stored end to end."""
+    row = np.repeat(np.arange(len(size)), size)
+    return row, np.arange(len(row)) - (np.cumsum(size) - size)[row]
+
+
+def _below_margin(t, size, margin):
+    """States whose T exceeds the least T at a C no larger by at most
+    ``margin``; each front is sorted by (C, T)."""
+    at = _cells(size)
+    low = np.full((len(size), size.max()), np.inf)
+    low[at] = t
+    return t - np.minimum.accumulate(low, axis=1)[at] <= margin
+
+
+def _undominated(c, t, oc, sc, size):
+    """States that no other state of the same mask dominates: C and T no
+    larger, and a smaller label."""
+    rank = np.empty(len(c))                 # labels are distinct within a mask
+    rank[np.lexsort((sc, oc))] = np.arange(len(c))
+    keep, end = [], np.cumsum(size)
+    for lo, hi, longest in _runs(size, lambda f: f * f):
+        part, at = slice(end[lo] - size[lo], end[hi - 1]), _cells(size[lo:hi])
+        block = np.full((3, hi - lo, longest), np.inf)      # padding dominates no state
+        block[:, at[0], at[1]] = c[part], t[part], rank[part]
+        a, b = block[..., None], block[:, :, None]          # every (a, b) pair of a mask
+        beaten = ((a[0] <= b[0]) & (a[1] <= b[1]) & (a[2] < b[2])).any(axis=1)
+        keep.append(~beaten[at])
+    return np.concatenate(keep)
+
+
+def _sizes(keep, size):
+    return np.add.reduceat(keep, np.cumsum(size) - size, dtype=np.int64)
+
+
 def brute_force(instance: Instance, n_cap: int = DEFAULT_CAPS[0],
                 m_cap: int = DEFAULT_CAPS[1]) -> Schedule:
     """Exact optimum over all orders and grid-speed assignments, assembled."""
@@ -88,27 +157,47 @@ def brute_force(instance: Instance, n_cap: int = DEFAULT_CAPS[0],
     horizon = release.max() + proc.max(axis=1).sum()
     bound = np.abs(costs).max(axis=1) + weight * (horizon + np.abs(due))
     margin = 8 * n * np.finfo(float).eps * bound.sum()
-    fronts = {0: (np.zeros(1), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64))}
-    for mask in range(1, 1 << n):
-        parts = [(fronts[mask ^ 1 << k], k) for k in range(n) if mask >> k & 1
-                 and mask ^ 1 << k in fronts and need[k] & ~mask == 0]
-        if not parts:
-            continue
-        c, t, oc, sc = (np.concatenate([f[i] for f, _ in parts]) for i in range(4))
-        k = np.repeat([k for _, k in parts], [len(f[0]) for f, _ in parts])
+
+    def grow(front, k, first, count, size):
+        """The pruned fronts of one run of child masks, stored end to end.
+
+        Pair j adds job k[j] at every speed to the parent states first[j] up
+        to first[j] + count[j]; the pairs come by child mask, then by k, and
+        child mask i gets size[i] states.
+        """
+        state = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+        c, t, oc, sc = (x[state] for x in front)
+        k = np.repeat(k, count)
         c = (np.maximum(c, release[k])[:, None] + proc[k]).ravel()
         t = (t[:, None] + costs[k]).ravel()
         oc, sc = (oc * n + k).repeat(m), (sc[:, None] * m + np.arange(m)).ravel()
         k = k.repeat(m)
         t += weight[k] * np.maximum(c - due[k], 0.0)
-        s = np.lexsort((t, c))
+        s = np.lexsort((t, c, np.repeat(np.arange(len(size)), size)))
         c, t, oc, sc = c[s], t[s], oc[s], sc[s]
-        s = t - np.minimum.accumulate(t) <= margin     # least T at a C no larger
-        c, t, oc, sc = c[s], t[s], oc[s], sc[s]
-        earlier = (oc[:, None] < oc) | (oc[:, None] == oc) & (sc[:, None] < sc)
-        s = ~((c[:, None] <= c) & (t[:, None] <= t) & earlier).any(axis=0)
-        fronts[mask] = c[s], t[s], oc[s], sc[s]
-    _, t, oc, sc = fronts[(1 << n) - 1]
+        s = _below_margin(t, size, margin)
+        c, t, oc, sc, size = c[s], t[s], oc[s], sc[s], _sizes(s, size)
+        s = _undominated(c, t, oc, sc, size)
+        return c[s], t[s], oc[s], sc[s], _sizes(s, size)
+
+    bits, need = 1 << np.arange(n), np.array(need, np.int64)
+    masks, size = np.zeros(1, np.int64), np.ones(1, np.int64)
+    front = np.zeros(1), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64)
+    for _ in range(n):                               # one popcount layer per step
+        # (k, parent) pairs whose child mask is precedence-closed, by child, then k
+        k, p = np.nonzero(((masks & bits[:, None]) == 0) & ((need[:, None] & ~masks) == 0))
+        child = masks[p] | bits[k]
+        s = np.argsort(child * n + k)
+        k, p, child = k[s], p[s], child[s]
+        edge = np.flatnonzero(np.diff(child, prepend=-1, append=-1))   # each child's pairs
+        start, children = np.cumsum(size) - size, np.add.reduceat(size[p], edge[:-1]) * m
+        runs = []
+        for lo, hi, _ in _runs(children, lambda f: f):
+            q = slice(edge[lo], edge[hi])
+            runs.append(grow(front, k[q], start[p[q]], size[p[q]], children[lo:hi]))
+        *front, size = (np.concatenate(x) for x in zip(*runs))
+        masks = child[edge[:-1]]
+    _, t, oc, sc = front
     best = np.lexsort((sc, oc, t))[0]
     order = [int(k) for k in np.unravel_index(oc[best], (n,) * n)]
     digits = np.unravel_index(sc[best], (m,) * n)   # speed index per position

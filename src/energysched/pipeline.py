@@ -99,7 +99,7 @@ def run(instance: Instance, with_oracle: bool = False,
         "delta": instance.speedset.delta,
     }
     if instance.objective is Objective.TARDINESS:
-        report["gamma"] = rounding.tardiness_gamma(instance)
+        report["gamma"] = rounding.tardiness_gamma(instance.epsilon, instance.alpha)
     if with_oracle:
         exact = oracle.brute_force(instance, *oracle_caps)
         report["oracle_cost"] = exact.cost

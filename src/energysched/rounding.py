@@ -131,9 +131,9 @@ def round_speed_energy_aware(speed: float, speedset: SpeedSet, grid_costs) -> fl
     return speeds[lo_idx] if grid_costs[lo_idx] <= grid_costs[lo_idx + 1] else speeds[lo_idx + 1]
 
 
-def tardiness_gamma(instance: Instance) -> float:
+def tardiness_gamma(epsilon: float, alpha: float) -> float:
     """SAIAS-T's speed-up factor ``(1 + epsilon) / (alpha * (1 - alpha))``."""
-    return (1 + instance.epsilon) / (instance.alpha * (1 - instance.alpha))
+    return (1 + epsilon) / (alpha * (1 - alpha))
 
 
 def check_speed_range(instance: Instance) -> None:
@@ -143,7 +143,7 @@ def check_speed_range(instance: Instance) -> None:
     when gamma * sigma_1 already exceeds sigma_m, every ``round_speed_up``
     fails, whatever the LP solution.
     """
-    gamma = tardiness_gamma(instance)
+    gamma = tardiness_gamma(instance.epsilon, instance.alpha)
     ss = instance.speedset
     if gamma * ss.min * (1 - 1e-12) > ss.max:
         raise SpeedRangeError(
@@ -181,5 +181,5 @@ def saias_t(instance: Instance, solution: LpSolution) -> evaluate.Schedule:
         raise ValueError("saias_t requires the tardiness objective")
     if instance.has_releases:
         raise ValueError("saias_t does not support release dates")
-    gamma, ss = tardiness_gamma(instance), instance.speedset
+    gamma, ss = tardiness_gamma(instance.epsilon, instance.alpha), instance.speedset
     return _round(instance, solution, lambda speed, _: round_speed_up(gamma * speed, ss))

@@ -168,13 +168,35 @@ def test_bench_records_failed_instances_and_goes_on(capsys):
 
 
 def test_bench_aggregates_are_null_when_every_instance_fails(capsys):
+    # the ladder may reach gamma = 6, so the batch runs, but draws stay below it
     rc, out, _ = run_cli(capsys, "bench", "--objective", "tardiness", "--count", "2",
-                         "--n", "3", "--m", "1", "--oracle")
+                         "--n", "3", "--m", "2", "--delta", "5", "--oracle")
     assert rc == 0
     agg = json.loads(out)["aggregate"]
     assert agg["failed"] == 2
     assert agg["max_ratio_vs_lp"] is None and agg["mean_ratio_vs_oracle"] is None
     assert agg["bound_violations"] == 0
+
+
+#: tardiness flags whose ladders cannot span gamma: (m, delta, gamma, span)
+SHORT_LADDERS = {
+    "": ("2", "1", "6", "2"),                         # bench's defaults
+    "--m 1 --delta 5": ("1", "5", "6", "1"),
+    "--m 3 --delta 0.5 --epsilon 1": ("3", "0.5", "8", "2.25"),
+    "--m 2 --delta 5 --alpha 0.25": ("2", "5", "8", "6"),
+}
+
+
+@pytest.mark.parametrize("flags", SHORT_LADDERS)
+def test_bench_refuses_tardiness_ladders_that_cannot_span_gamma(flags, capsys):
+    rc, out, err = run_cli(capsys, "bench", "--objective", "tardiness", "--count", "3",
+                           "--n", "4", *flags.split())
+    m, delta, gamma, span = SHORT_LADDERS[flags]
+    assert rc == 2
+    assert out == ""
+    assert err == (f"error: --objective tardiness needs speeds spanning gamma = {gamma}, "
+                   f"but --m {m} and --delta {delta} give speed ladders spanning at most "
+                   f"(1 + delta)**(m - 1) = {span}; raise --m or --delta\n")
 
 
 def test_bench_oracle_records_size_cap_errors(capsys):

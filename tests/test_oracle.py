@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,39 @@ def test_brute_force_is_bit_identical_to_full_enumeration(family, fields, n_of, 
     for k in seeds:
         inst = generate(1000 + k, n_of(k), m, cfg)
         _assert_matches_reference(inst, (family, k))
+
+
+@pytest.mark.parametrize("family, fields, n_of, m, seeds", _DIFFERENTIAL,
+                         ids=[case[0] for case in _DIFFERENTIAL])
+def test_runs_of_one_mask_stay_bit_identical_to_full_enumeration(family, fields, n_of, m,
+                                                                  seeds, monkeypatch):
+    # a one-cell budget puts every mask in a run of its own, so each layer
+    # with more than one mask is split across runs
+    monkeypatch.setattr(oracle, "CHUNK_CELLS", 1)
+    calls, split = [], oracle._runs
+
+    def record(size, cells):
+        calls.append((len(size), list(split(size, cells))))
+        return calls[-1][1]
+
+    monkeypatch.setattr(oracle, "_runs", record)
+    cfg = GeneratorConfig(**fields)
+    for k in seeds:
+        _assert_matches_reference(generate(1000 + k, n_of(k), m, cfg), (family, k))
+    assert all(hi == lo + 1 for _, runs in calls for lo, hi, _ in runs)
+    # a chain, like a single job, never has two masks in one layer
+    assert max(masks for masks, _ in calls) > 1 or family in ("n1", "chain")
+
+
+def test_n12_peak_memory_stays_under_8_mb():
+    inst = generate(1, 12, 3, GeneratorConfig(edge_density=0.0, release_max=5.0))
+    tracemalloc.start()
+    try:
+        brute_force(inst, n_cap=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 10 ** 6
 
 
 def _identical_jobs(objective, ids, deadline=0.0):
