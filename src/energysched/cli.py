@@ -86,11 +86,13 @@ def cmd_oracle(args) -> int:
 
 
 def _check_tardiness_ladder(cfg: GeneratorConfig, m: int) -> None:
-    """Refuse a tardiness batch whose speed ladders cannot span gamma.
+    """Refuse a tardiness batch whose speed ladders cannot span gamma, and
+    warn on stderr when only some of them can.
 
-    ``generate`` draws each speed step at most 1 + delta apart, so sigma_m /
-    sigma_1 <= (1 + delta)**(m - 1); below gamma, ``check_speed_range``
-    would refuse every instance.
+    ``generate`` draws each speed step between 1 + delta/2 and 1 + delta
+    apart, so sigma_m / sigma_1 lies between (1 + delta/2)**(m - 1) and
+    (1 + delta)**(m - 1); ``check_speed_range`` refuses every instance whose
+    ladder falls below gamma.
     """
     alpha = cfg.alpha if cfg.alpha is not None else instance_mod.default_alpha(cfg.objective, False)
     gamma, span = rounding.tardiness_gamma(cfg.epsilon, alpha), (1 + cfg.delta) ** (m - 1)
@@ -100,6 +102,12 @@ def _check_tardiness_ladder(cfg: GeneratorConfig, m: int) -> None:
             f"and --delta {cfg.delta:g} give speed ladders spanning at most "
             f"(1 + delta)**(m - 1) = {span:g}; raise --m or --delta"
         )
+    narrowest = (1 + cfg.delta / 2) ** (m - 1)
+    if gamma * (1 - 1e-12) > narrowest:
+        print(f"warning: --m {m} and --delta {cfg.delta:g} give speed ladders spanning "
+              f"from (1 + delta/2)**(m - 1) = {narrowest:g} to (1 + delta)**(m - 1) = "
+              f"{span:g}; instances whose ladder spans less than gamma = {gamma:g} "
+              f"fail with SpeedRangeError", file=sys.stderr)
 
 
 def cmd_bench(args) -> int:

@@ -52,6 +52,7 @@ the simplex starts there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +65,7 @@ class InfeasibleHorizonError(RuntimeError):
     """Some job has every variable pinned to zero: the grid cannot hold it."""
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     kind: str        # "assign" | "capacity" | "prec"
     key: tuple
     cols: np.ndarray
@@ -124,10 +124,10 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
         )
 
     block = np.arange(n * m * T).reshape(n, m, T)   # block[i, j, t - 1] is column (i, j, t)
-    rows = [
-        Row("assign", (job.id,), block[i].ravel(), np.ones(m * T), "=", 1.0)
-        for i, job in enumerate(jobs)
-    ]
+    ones = np.ones(m * T)                   # every assign row's values
+    ones.flags.writeable = False
+    rows = [Row("assign", (job.id,), block[i].ravel(), ones, "=", 1.0)
+            for i, job in enumerate(jobs)]
     for t in range(1, T + 1):
         rows.append(Row("capacity", (t,), block[:, :, :t].ravel(),
                         np.repeat(load.ravel(), t), "<=", grid.upper(t)))
@@ -136,27 +136,36 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     pos = {job.id: i for i, job in enumerate(jobs)}
     signs = np.tile([1.0, -1.0], m * T)      # every prec row's values are a prefix of it
     signs.flags.writeable = False
+    # prec row t of edge (a, b) holds pair[:, :t] flattened, with pair the
+    # (m, T, 2) stack of a's and b's columns.  For t = 1 .. T - 1 end to end,
+    # ``prefix`` lists those positions in pair.ravel(): row t's run starts at
+    # m t (t - 1), so one gather per edge fills all of the edge's rows
+    below = np.arange(T) < np.arange(1, T)[:, None]                # (T - 1, T): t' < t
+    _, j, tp, side = np.nonzero(np.broadcast_to(below[:, None, :, None], (T - 1, m, T, 2)))
+    prefix = (j * T + tp) * 2 + side
     for a, b in instance.precedence.transitive_reduction():
-        pair = np.stack([block[pos[a]], block[pos[b]]], axis=-1)   # (m, T, 2)
+        cols = np.stack([block[pos[a]], block[pos[b]]], axis=-1).ravel()[prefix]
         for t in range(first[pos[b]], T):
-            rows.append(Row("prec", (a, b, t), pair[:, :t].ravel(), signs[: 2 * m * t], ">=", 0.0))
+            rows.append(Row("prec", (a, b, t), cols[m * t * (t - 1):m * t * (t + 1)],
+                            signs[: 2 * m * t], ">=", 0.0))
 
     return LpModel(instance, grid, obj, upper, tuple(rows))
 
 
 def _flat_rows(rows):
     """Every row's length, and the column indices and values of all rows end to end."""
-    lengths = np.array([len(row.cols) for row in rows], dtype=np.intp)
-    cols = np.concatenate([row.cols for row in rows])
-    return lengths, cols, np.concatenate([row.vals for row in rows], dtype=float)
+    _, _, cols, vals, _, _ = zip(*rows)
+    lengths = np.fromiter(map(len, cols), dtype=np.intp, count=len(cols))
+    return lengths, np.concatenate(cols), np.concatenate(vals, dtype=float)
 
 
 def constraint_arrays(model: LpModel):
     """The rows as a dense matrix ``A``, a list of senses and a vector ``b``."""
-    rows = model.rows
+    rows, ncols = model.rows, model.ncols
     lengths, cols, vals = _flat_rows(rows)
-    A = np.zeros((len(rows), model.ncols))
-    A[np.repeat(np.arange(len(rows)), lengths), cols] = vals
+    A = np.zeros((len(rows), ncols))
+    # one scatter into the flat matrix, at row offset plus column
+    A.ravel()[np.repeat(np.arange(0, len(rows) * ncols, ncols), lengths) + cols] = vals
     b = np.array([row.rhs for row in rows], dtype=float)
     return A, [row.sense for row in rows], b
 

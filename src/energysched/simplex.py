@@ -13,9 +13,10 @@ L and the columns J, L gives
 
     B = [[B11, 0], [A[L, J], D]],     B11 = A[K, J]  (k x k),
 
-so only the structural kernel B11 needs an inverse, kept dense in a
-preallocated buffer (Suhl & Suhl, 1990, *Computing sparse LU factorizations
-for large-scale linear programming bases*, split off the logical part in the
+so only the structural kernel B11 needs an inverse, kept dense and
+contiguous in one of two preallocated buffers; a change of k moves it into
+the other (Suhl & Suhl, 1990, *Computing sparse LU factorizations for
+large-scale linear programming bases*, split off the logical part in the
 same way).  With ``D^-1 = D``:
 
 * FTRAN of a column a: ``w_J = B11^-1 a_K``, then ``w_L = D (a_L - A[L, J] w_J)``;
@@ -27,6 +28,18 @@ count r: over the 48 LPs of the benchmark's solve-mid list at seed 11, k
 peaks at 41 on average, on 135 rows on average; at n = 40 jobs it peaks at
 363 of 1025.  Work per pivot is O(k^2 + r k) plus pricing, against O(r^2)
 for an explicit B^-1.
+
+The basic variables are kept by slot, a row or a kernel position: x_B,
+each basic's upper bound and its column sit in preallocated per-slot
+arrays, so the ratio test and the primal update are a fixed run of in-place
+numpy calls over every slot, with no gather through the basic columns (the
+bounded ratio test of Maros, 2003, *Computational Techniques of the Simplex
+Method*, ch. 9).  The primal update is skipped on a zero step, and x over
+the structurals is built only by a rebuild and at exit.  At the solve-mid
+sizes (k about 40, r about 130) a numpy call costs more in call overhead
+than in arithmetic, so the few dozen calls a pivot makes, not the O(.)
+term, set its time; from about n = 20 jobs on, the arithmetic of pricing
+and of the kernel updates takes over.
 
 **Basis changes.**  Each is one of four cases, all O(k^2 + r):
 
@@ -41,7 +54,7 @@ for an explicit B^-1.
 * the slack of kernel row i replaces the slack of row l: kernel row i gives
   way to row l, a rank-1 row update of B11^-1.
 
-Every update adds rounding error to B11^-1 and to x, so every
+Every update adds rounding error to B11^-1 and to x_B, so every
 :data:`REFACTOR_EVERY` basis changes both are rebuilt from scratch with one
 k x k inverse: ``x_J = B11^-1 (b - A_N x_N)_K`` and ``x_L = D (b - A_N x_N -
 A[:, J] x_J)_L``.  Nonbasic slacks rest at zero.
@@ -115,6 +128,10 @@ class SolveResult:
     kernel_max: int = 0          # largest structural kernel k reached
 
 
+#: the slack sign of each row sense; an equality row has no slack
+_SLACK_SIGN = {"<=": 1.0, ">=": -1.0, "=": 0.0}
+
+
 def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None = None,
           start=None) -> SolveResult:
     """Solve the LP from ``start``, a primal feasible basis.
@@ -131,15 +148,11 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
     nrows, ncols = A.shape
     if lower is not None and np.any(np.asarray(lower, dtype=float) != 0.0):
         raise ValueError("every lower bound must be 0")
-    if upper is None:
-        upper = np.full(ncols, np.inf)
-    upper = np.asarray(upper, dtype=float)
-
-    sign_of = {"<=": 1.0, ">=": -1.0, "=": 0.0}
-    for s in senses:
-        if s not in sign_of:
-            raise ValueError(f"unknown row sense {s!r}")
-    row_sign = np.array([sign_of[s] for s in senses])
+    upper = np.full(ncols, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    try:
+        row_sign = np.fromiter(map(_SLACK_SIGN.__getitem__, senses), dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"unknown row sense {exc.args[0]!r}") from None
     nslack = np.count_nonzero(row_sign)
     # the columns: structurals, a slack per inequality row, the placeholder
     hi = np.concatenate([upper, np.full(nslack, np.inf), [0.0]])
@@ -149,14 +162,14 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
 
     try:
         rows, cols = _start_kernel(np.full(nrows, -1) if start is None else start, ncols, row_sign)
-        kernel = _Kernel(A, row_sign, rows, cols)
+        kernel = _Kernel(A, row_sign, rows, cols, hi, c)
         try:
-            x = _factor(kernel, b, hi, at_upper)
+            _factor(kernel, b, at_upper)
         except SimplexError as exc:
             raise ValueError(f"start basis is singular: {exc}") from exc
-        basic = kernel.basic_cols()
-        xb = x[basic]
-        gap = np.maximum(-xb, xb - hi[basic]).max(initial=0.0)
+        n = nrows + kernel.k
+        xb = kernel.xB[:n]
+        gap = np.maximum(-xb, xb - kernel.hiB[:n]).max(initial=0.0)
         if not gap <= feas_tol:
             raise ValueError(f"start basis is not primal feasible: a basic variable "
                              f"is {gap} outside its bounds (tolerance {feas_tol})")
@@ -165,10 +178,8 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
             raise
         raise ValueError(f"{exc} (no start was given, so every row starts on its slack)") from None
 
-    cost = np.zeros(len(hi))
-    cost[:ncols] = c
-    status, iterations = _iterate(kernel, b, cost, hi, x, at_upper, cfg, work)
-    x = x[:ncols] if status == "optimal" else None
+    status, iterations = _iterate(kernel, b, at_upper, cfg, work)
+    x = kernel.point(at_upper) if status == "optimal" else None
     objective = None if x is None else float(c @ x)
     return SolveResult(status, x, objective, iterations, **work, kernel_max=kernel.kmax)
 
@@ -178,11 +189,11 @@ def _start_kernel(start, ncols, row_sign):
     start = np.asarray(start, dtype=int)
     if start.shape != row_sign.shape:
         raise ValueError(f"start has shape {start.shape}, expected ({len(row_sign)},)")
-    if np.any((start < -1) | (start >= ncols)):
+    if ((start < -1) | (start >= ncols)).any():
         raise ValueError("start names a column outside the structurals")
-    if np.any((start == -1) & (row_sign == 0)):
+    if ((start == -1) & (row_sign == 0)).any():
         raise ValueError("start puts an equality row on a slack it does not have")
-    rows = np.flatnonzero(start >= 0)
+    rows = (start >= 0).nonzero()[0]
     return rows, start[rows]
 
 
@@ -191,206 +202,277 @@ class _Kernel:
 
     A basic slot is a row (slots 0..r-1, its basic logical) or a kernel
     position p (slot r + p).  Position p pairs structural column ``cols[p]``
-    (of J) with row ``rows[p]`` (of K); ``inv[:k, :k]`` is B11^-1, its rows
-    indexed by column position and its columns by row position, and
-    ``AJt[p]`` is ``A[:, cols[p]]``.  ``logical[i]`` is the slack basic on
-    row i and ``dsign[i]`` its sign; on a kernel row dsign is 0 and
-    ``logical`` names the placeholder column, nonbasic and fixed at zero.
-    Slack ``ncols + l`` sits on row ``lrow[l]`` with sign ``lsign[l]``.
+    (of J) with row ``rows[p]`` (of K); ``inv`` is B11^-1, a contiguous
+    k x k array with its rows indexed by column position and its columns by
+    row position, and ``AJt[p]`` is ``A[:, cols[p]]``.  ``logical[i]`` is
+    the slack basic on row i and ``dsign[i]`` its sign; on a kernel row
+    dsign is 0 and ``logical`` names the placeholder column, nonbasic and
+    fixed at zero.  Slack ``ncols + l`` sits on row ``lrow[l]`` with sign
+    ``lsign[l]``.
+
+    The basic variables live by slot: slot s holds column ``basic[s]`` at
+    value ``xB[s]`` below its upper bound ``hiB[s]``, and the FTRAN column
+    is ``w[s]``.  A kernel row's slot holds the placeholder at 0 <= 0, and
+    every slot past r + k has w = 0, so the ratio test and the primal update
+    run over all slots, without a gather or a cut to k.  ``cB[p]`` is the
+    cost of ``cols[p]``, and ``y`` holds the duals, zero off the kernel rows.
     """
 
-    def __init__(self, A, row_sign, rows, cols):
+    def __init__(self, A, row_sign, rows, cols, hi, c):
         nrows, ncols = A.shape
         cap = min(nrows, ncols)
-        self.A, self.nrows, self.ncols = A, nrows, ncols
-        self.lrow = np.flatnonzero(row_sign)
+        nslots = nrows + cap
+        self.A, self.nrows, self.ncols, self.hi, self.c = A, nrows, ncols, hi, c
+        self.lrow = row_sign.nonzero()[0]
         self.lsign = row_sign[self.lrow]
         self.placeholder = ncols + len(self.lrow)
-        self.inv = np.empty((cap, cap))
-        self.outer = np.empty((cap, cap))
+        # B11^-1 and a rank-1 term, each k x k in a flat buffer; a change of
+        # k moves the inverse into the spare buffer, in the new shape
+        self._buffers = [np.empty(cap * cap), np.empty(cap * cap)]
+        self._outer = np.empty(cap * cap)
         self.AJt = np.empty((cap, nrows))
-        self.basic = np.empty(nrows + cap, dtype=np.intp)   # the column in each slot
-        self.logical, self.cols = self.basic[:nrows], self.basic[nrows:]
-        self.w = np.empty(nrows + cap)                      # FTRAN, by slot
         self.rows = np.empty(cap, dtype=np.intp)
         self.kpos = np.full(nrows, -1)
-        self.logical[:] = self.placeholder
-        self.logical[self.lrow] = ncols + np.arange(len(self.lrow))
         self.dsign = row_sign.copy()
+        self.cB = np.empty(cap)
+        self.y = np.zeros(nrows)
+        self.wr = np.empty(nrows)        # a - A[:, J] w_J of the last FTRAN
+        self.yK = np.empty(cap)
+        # by slot: the basic column, its value and upper bound, the FTRAN
+        # column, and the ratio test's scratch
+        self.basic = np.full(nslots, self.placeholder)
+        self.logical, self.cols = self.basic[:nrows], self.basic[nrows:]
+        self.xB = np.zeros(nslots)
+        self.hiB = np.zeros(nslots)
+        self.w = np.zeros(nslots)
+        self.xL, self.wL = self.xB[:nrows], self.w[:nrows]
+        self.absw, self.num, self.ratio = np.empty(nslots), np.empty(nslots), np.empty(nslots)
+        self.play, self.up = np.empty(nslots, dtype=bool), np.empty(nslots, dtype=bool)
+        self.logical[self.lrow] = ncols + np.arange(len(self.lrow))
         k = self.k = self.kmax = len(rows)
+        self.inv = self._buffers[0][:k * k].reshape(k, k)
         self.cols[:k], self.rows[:k] = cols, rows
         self.kpos[rows] = np.arange(k)
         self.AJt[:k] = A[:, cols].T
         self.dsign[rows] = 0.0
         self.logical[rows] = self.placeholder
+        self.cB[:k] = c[cols]
+        self.hiB[:nrows + k] = hi[self.basic[:nrows + k]]
 
-    def basic_cols(self) -> np.ndarray:
-        return self.basic[:self.nrows + self.k]
-
-    def in_basis(self, nall: int) -> np.ndarray:
-        basic = np.zeros(nall, dtype=bool)
-        basic[self.cols[:self.k]] = True
-        basic[self.logical[self.dsign != 0]] = True
-        return basic
+    def point(self, at_upper) -> np.ndarray:
+        """The structurals' values: nonbasics at their bounds, basics from x_B."""
+        ncols, r, k = self.ncols, self.nrows, self.k
+        x = np.where(at_upper[:ncols], self.hi[:ncols], 0.0)
+        x[self.cols[:k]] = self.xB[r:r + k]
+        return x
 
     def ftran(self, a):
-        """The column ``w = B^-1 a`` by slot, and ``a - A[:, J] w_J``."""
-        r, k = self.nrows, self.k
-        w = self.w[:r + k]
-        wJ = w[r:]
-        np.matmul(self.inv[:k, :k], a[self.rows[:k]], out=wJ)
-        wr = a - wJ @ self.AJt[:k]
-        np.multiply(self.dsign, wr, out=w[:r])
-        return w, wr
+        """Fill ``w = B^-1 a`` by slot, and ``wr = a - A[:, J] w_J``."""
+        r, k, wr = self.nrows, self.k, self.wr
+        wJ = self.w[r:r + k]
+        np.matmul(self.inv, a[self.rows[:k]], out=wJ)
+        np.matmul(wJ, self.AJt[:k], out=wr)
+        np.subtract(a, wr, out=wr)
+        np.multiply(self.dsign, wr, out=self.wL)
 
-    def btran(self, cost) -> np.ndarray:
+    def btran(self) -> np.ndarray:
         """The duals ``y = c_B B^-1``; zero off the kernel rows."""
         k = self.k
-        y = np.zeros(self.nrows)
-        y[self.rows[:k]] = cost[self.cols[:k]] @ self.inv[:k, :k]
-        return y
+        self.y[self.rows[:k]] = np.matmul(self.cB[:k], self.inv, out=self.yK[:k])
+        return self.y
 
-    def change(self, slot, q, a, w, wr):
+    def ratio_test(self, sign):
+        """The slot whose basic first hits a bound as the entering column moves
+        by ``sign`` (x_B falls by ``sign * w`` per unit), and the step.
+
+        Only slots with |w| above PIVOT_TOL take part: the others get an
+        infinite step.  Among steps within TIE_TOL of the shortest, the lowest
+        column index leaves.  Returns ``(-1, inf)`` when no basic limits the
+        step.
+        """
+        w, xB, absw, play, num, ratio = self.w, self.xB, self.absw, self.play, self.num, self.ratio
+        np.abs(w, out=absw)
+        np.greater(absw, PIVOT_TOL, out=play)
+        (np.greater if sign > 0 else np.less)(w, 0.0, out=self.up)   # falls to 0
+        np.subtract(self.hiB, xB, out=num)
+        np.copyto(num, xB, where=self.up)
+        ratio.fill(np.inf)
+        np.divide(num, absw, out=ratio, where=play)
+        # steps are clipped at zero after the minimum: max(., 0) keeps the order
+        slot = ratio.argmin()
+        t = max(ratio[slot], 0.0)
+        if not t < np.inf:
+            return -1, t
+        ties = np.less_equal(ratio, t + TIE_TOL, out=play).nonzero()[0]
+        if len(ties) > 1:
+            slot = ties[self.basic[ties].argmin()]
+        return int(slot), max(ratio[slot], 0.0)
+
+    def step(self, t):
+        """Move x_B by ``-t * w``."""
+        np.subtract(self.xB, np.multiply(self.w, t, out=self.num), out=self.xB)
+
+    def _reshape(self, k):
+        """Make the spare buffer the k x k inverse, and return it unfilled."""
+        self._buffers.reverse()
+        self.inv = self._buffers[0][:k * k].reshape(k, k)
+        return self.inv
+
+    def change(self, slot, q, a, xq):
         """Column ``q`` (dense column ``a``, with ``w, wr`` from :meth:`ftran`)
-        replaces the basic of ``slot``."""
+        replaces the basic of ``slot`` and takes the value ``xq``."""
         r, k, ncols, inv = self.nrows, self.k, self.ncols, self.inv
-        wJ = w[r:]
-        outer = self.outer[:k, :k]
+        wJ = self.w[r:r + k]
+        outer = self._outer[:k * k].reshape(k, k)
         if q >= ncols:
             i = self.lrow[q - ncols]             # the entering slack's row
             qsign = self.lsign[q - ncols]
         if slot >= r and q < ncols:              # structural for structural
             p = slot - r
-            piv = inv[p, :k] / wJ[p]
-            np.multiply.outer(wJ, piv, out=outer)
-            inv[:k, :k] -= outer
-            inv[p, :k] = piv
-            self.cols[p] = q
+            piv = inv[p] / wJ[p]
+            inv -= np.multiply.outer(wJ, piv, out=outer)
+            inv[p] = piv
+            self.cols[p], self.cB[p] = q, self.c[q]
+            self.xB[slot], self.hiB[slot] = xq, self.hi[q]
             self.AJt[p] = a
         elif slot >= r:                          # slack of kernel row i for structural
             p, pi, last = slot - r, self.kpos[i], k - 1
-            np.multiply.outer(inv[:k, pi], inv[p, :k] / inv[p, pi], out=outer)
-            inv[:k, :k] -= outer
+            inv -= np.multiply.outer(inv[:, pi], inv[p] / inv[p, pi], out=outer)
             self.kpos[i] = -1
             if p != last:                        # the last position fills the gap
-                inv[p, :k] = inv[last, :k]
-                self.cols[p] = self.cols[last]
+                inv[p] = inv[last]
+                self.cols[p], self.cB[p] = self.cols[last], self.cB[last]
+                self.xB[slot], self.hiB[slot] = self.xB[r + last], self.hiB[r + last]
                 self.AJt[p] = self.AJt[last]
             if pi != last:
                 inv[:last, pi] = inv[:last, last]
                 self.rows[pi] = self.rows[last]
                 self.kpos[self.rows[pi]] = pi
+            self._reshape(last)[...] = inv[:last, :last]
             self.k = last
-            self.logical[i], self.dsign[i] = q, qsign
+            self.w[r + last] = 0.0               # the freed slot leaves the ratio test
+            self._enter_slack(i, q, qsign, xq)
         elif q < ncols:                          # structural for the slack of row l
             l = slot
-            s = wr[l]
-            z = self.AJt[:k, l] @ inv[:k, :k]
-            np.multiply.outer(wJ, z / s, out=outer)
-            inv[:k, :k] += outer
-            inv[:k, k] = -wJ / s
-            inv[k, :k] = -z / s
-            inv[k, k] = 1.0 / s
-            self.cols[k], self.rows[k], self.kpos[l] = q, l, k
+            s = self.wr[l]
+            zs = np.matmul(self.AJt[:k, l], inv) / s
+            inv += np.multiply.outer(wJ, zs, out=outer)
+            grown = self._reshape(k + 1)
+            grown[:k, :k] = inv
+            np.divide(wJ, -s, out=grown[:k, k])
+            np.negative(zs, out=grown[k, :k])
+            grown[k, k] = 1.0 / s
+            self.cols[k], self.rows[k], self.kpos[l], self.cB[k] = q, l, k, self.c[q]
+            self.xB[r + k], self.hiB[r + k] = xq, self.hi[q]
             self.AJt[k] = a
-            self.logical[l], self.dsign[l] = self.placeholder, 0.0
+            self._leave_slack(l)
             self.k = k + 1
             self.kmax = max(self.kmax, k + 1)
         else:                                    # kernel row i gives way to row l
             l, pi = slot, self.kpos[i]
-            z = self.AJt[:k, l] @ inv[:k, :k]
-            col = inv[:k, pi] / z[pi]
-            np.multiply.outer(col, z, out=outer)
-            inv[:k, :k] -= outer
-            inv[:k, pi] = col
+            z = np.matmul(self.AJt[:k, l], inv)
+            col = inv[:, pi] / z[pi]
+            inv -= np.multiply.outer(col, z, out=outer)
+            inv[:, pi] = col
             self.rows[pi], self.kpos[l], self.kpos[i] = l, pi, -1
-            self.logical[l], self.dsign[l] = self.placeholder, 0.0
-            self.logical[i], self.dsign[i] = q, qsign
+            self._leave_slack(l)
+            self._enter_slack(i, q, qsign, xq)
+
+    def _leave_slack(self, l):
+        """Row l joins the kernel: its slot holds the placeholder."""
+        self.logical[l], self.dsign[l] = self.placeholder, 0.0
+        self.xB[l] = self.hiB[l] = 0.0
+
+    def _enter_slack(self, i, q, qsign, xq):
+        """Row i leaves the kernel, with its slack ``q`` basic at ``xq``."""
+        self.logical[i], self.dsign[i] = q, qsign
+        self.xB[i], self.hiB[i] = xq, np.inf
+        self.y[i] = 0.0
 
 
-def _factor(kernel: _Kernel, b, hi, at_upper) -> np.ndarray:
-    """Rebuild B11^-1 from scratch and return the point of the basis."""
-    k, A = kernel.k, kernel.A
+def _factor(kernel: _Kernel, b, at_upper) -> None:
+    """Rebuild B11^-1 from scratch, and x_B from the nonbasics' bounds."""
+    A, r, k = kernel.A, kernel.nrows, kernel.k
     rows, cols = kernel.rows[:k], kernel.cols[:k]
-    try:
-        kernel.inv[:k, :k] = np.linalg.inv(A[np.ix_(rows, cols)])
-    except np.linalg.LinAlgError as exc:
-        raise SimplexError(f"singular basis: {exc}") from exc
-    x = np.where(at_upper & np.isfinite(hi), hi, 0.0)
+    B11 = A[np.ix_(rows, cols)]
+    if np.array_equal(B11, np.eye(k)):
+        # the list-schedule start: one column of coefficient 1 per assign row.
+        # LAPACK inverts the identity exactly, so this skips only its cost
+        kernel.inv[...] = B11
+    else:
+        try:
+            kernel.inv[...] = np.linalg.inv(B11)
+        except np.linalg.LinAlgError as exc:
+            raise SimplexError(f"singular basis: {exc}") from exc
+    x = np.where(at_upper[:kernel.ncols], kernel.hi[:kernel.ncols], 0.0)
     x[cols] = 0.0
-    rhs = b - A @ x[:kernel.ncols]      # nonbasic slacks rest at zero
-    x[cols] = xJ = kernel.inv[:k, :k] @ rhs[rows]
-    # on a kernel row dsign is 0, and logical names the placeholder
-    x[kernel.logical] = kernel.dsign * (rhs - xJ @ kernel.AJt[:k])
-    return x
+    # nonbasic slacks rest at zero; with every structural at zero too, A x is 0
+    rhs = b - A @ x if x.any() else b
+    xJ = kernel.xB[r:r + k]
+    np.matmul(kernel.inv, rhs[rows], out=xJ)
+    # on a kernel row dsign is 0, and the slot holds the placeholder
+    np.multiply(kernel.dsign, rhs - xJ @ kernel.AJt[:k], out=kernel.xL)
 
 
-def _iterate(kernel: _Kernel, b, cost, hi, x, at_upper, cfg: SolverConfig, work: dict):
+def _iterate(kernel: _Kernel, b, at_upper, cfg: SolverConfig, work: dict):
     """Pivot from the kernel's basis to a final status.
 
-    ``x`` enters as the point of the basis; it, ``at_upper`` and the kernel
-    are updated in place, and ``work`` counts bound flips, degenerate pivots
-    and whether Bland's rule took over.
+    The kernel's x_B enters as the point of the basis; it, ``at_upper`` and
+    the kernel are updated in place, and ``work`` counts bound flips,
+    degenerate pivots and whether Bland's rule took over.
     """
-    nrows, ncols = len(b), kernel.ncols
+    nrows, ncols, hi = kernel.nrows, kernel.ncols, kernel.hi
     tol = OPTIMALITY_TOL
     degen_run = 0
     bland = False
-    # only columns that can move are priced: fixed ones never enter
-    cols = np.flatnonzero(hi > PIVOT_TOL)
-    ns = int(np.searchsorted(cols, ncols))          # cols[:ns] are structurals
-    At = np.ascontiguousarray(kernel.A[:, cols[:ns]].T)
-    lrow, lsign = kernel.lrow[cols[ns:] - ncols], kernel.lsign[cols[ns:] - ncols]
-    cost_cols = cost[cols]
+    # only columns that can move are priced: fixed ones never enter.  They
+    # are the free structurals, then every slack (the placeholder is fixed)
+    cols = (hi > PIVOT_TOL).nonzero()[0]
+    ns = len(cols) - len(kernel.lrow)               # cols[:ns] are structurals
+    At = kernel.A.T[cols[:ns]]                      # contiguous: one row per column
+    lrow, lsign = kernel.lrow, kernel.lsign
+    cost_cols = np.zeros(len(cols))
+    cost_cols[:ns] = kernel.c[cols[:ns]]
     position = np.full(len(hi), -1)         # of each column in cols
     position[cols] = np.arange(len(cols))
     # +1 at lower, -1 at upper, 0 when basic: the eligible columns are those
     # with direction * d < -tol, and the most negative has the largest |d|
-    direction = np.where(kernel.in_basis(len(hi))[cols], 0.0, np.where(at_upper[cols], -1.0, 1.0))
+    basic = np.zeros(len(hi), dtype=bool)
+    basic[kernel.basic[:nrows + kernel.k]] = True
+    direction = np.where(basic[cols], 0.0, np.where(at_upper[cols], -1.0, 1.0))
     score = np.empty(len(cols))
+    score_s, score_l = score[:ns], score[ns:]
+    unit = np.zeros(nrows)                  # the column of an entering slack
     since_refactor = 0
 
     for it in range(cfg.max_iterations):
         if since_refactor >= REFACTOR_EVERY:
-            x[...] = _factor(kernel, b, hi, at_upper)
+            _factor(kernel, b, at_upper)
             since_refactor = 0
 
-        y = kernel.btran(cost)
-        np.matmul(At, y, out=score[:ns])
-        np.multiply(lsign, y[lrow], out=score[ns:])
+        y = kernel.btran()
+        np.matmul(At, y, out=score_s)
+        np.multiply(lsign, y[lrow], out=score_l)
         np.subtract(cost_cols, score, out=score)   # the reduced costs
         score *= direction
         j = int((score < -tol).argmax()) if bland else int(score.argmin())
         if not score[j] < -tol:
             return "optimal", it
         q = int(cols[j])
-        sign = direction[j]                  # entering moves up from lower / down from upper
+        sign = float(direction[j])           # entering moves up from lower / down from upper
         if j < ns:
             a = At[j]
-        else:
-            a = np.zeros(nrows)
-            a[lrow[j - ns]] = lsign[j - ns]
-        w, wr = kernel.ftran(a)
+            kernel.ftran(a)
+        else:                                # a slack's change needs no column
+            a = unit
+            unit[lrow[j - ns]] = lsign[j - ns]
+            kernel.ftran(a)
+            unit[lrow[j - ns]] = 0.0
 
-        # ratio test over the steps above PIVOT_TOL: the basic that first
-        # hits a bound; among steps within TIE_TOL of the shortest, the
-        # lowest column index leaves
-        basic = kernel.basic_cols()
-        slots = (np.abs(w) > PIVOT_TOL).nonzero()[0]
-        step = sign * w[slots]               # x_B decreases by step * t
-        moving = basic[slots]
-        xb = x[moving]
-        ratio = np.where(step > 0, xb, hi[moving] - xb) / np.abs(step)
-        np.maximum(ratio, 0.0, out=ratio)
-        t_best = ratio.min() if len(slots) else np.inf
-        leave = -1                           # -1: bound flip of the entering column
-        if t_best < np.inf:
-            ties = (ratio <= t_best + TIE_TOL).nonzero()[0]
-            leave = int(ties[moving[ties].argmin()])
-            t_best = ratio[leave]
+        slot, t_best = kernel.ratio_test(sign)   # slot -1: bound flip of the entering column
         if hi[q] < t_best - TIE_TOL:
             t_best = hi[q]
-            leave = -1
+            slot = -1
         if not t_best < np.inf:
             return "unbounded", it
 
@@ -398,25 +480,24 @@ def _iterate(kernel: _Kernel, b, cost, hi, x, at_upper, cfg: SolverConfig, work:
         if degen_run > 3 * nrows and not bland:
             bland = work["bland"] = True
 
-        x[basic] -= (t_best * sign) * w
-        if leave == -1:
+        if t_best != 0.0:                    # half the pivots or more are degenerate
+            kernel.step(t_best * sign)
+        if slot == -1:
             at_upper[q] = ~at_upper[q]
-            x[q] = hi[q] if at_upper[q] else 0.0
             direction[j] = -direction[j]
             work["bound_flips"] += 1
             continue
         if t_best <= TIE_TOL:
             work["degenerate_pivots"] += 1
-        x[q] += sign * t_best
-        bl = moving[leave]
+        xq = (hi[q] if at_upper[q] else 0.0) + sign * t_best
+        bl = kernel.basic[slot]
         # leaving variable parks at whichever of its bounds the ratio test hit
-        at_upper[bl] = step[leave] < 0
-        x[bl] = hi[bl] if at_upper[bl] else 0.0
+        at_upper[bl] = sign * kernel.w[slot] < 0
         at_upper[q] = False
         direction[j] = 0.0
         if position[bl] >= 0:
             direction[position[bl]] = -1.0 if at_upper[bl] else 1.0
-        kernel.change(int(slots[leave]), q, a, w, wr)
+        kernel.change(slot, q, a, xq)
         since_refactor += 1
 
     return "iteration_limit", cfg.max_iterations

@@ -199,6 +199,26 @@ def test_bench_refuses_tardiness_ladders_that_cannot_span_gamma(flags, capsys):
                    f"(1 + delta)**(m - 1) = {span}; raise --m or --delta\n")
 
 
+def test_bench_warns_when_some_tardiness_ladders_fall_short_of_gamma(capsys):
+    # at --m 4 and the default --delta 1 the widest ladder spans 8 > gamma = 6,
+    # so the batch runs; the narrowest spans 1.5**3 = 3.375, and these draws fail
+    rc, out, err = run_cli(capsys, "bench", "--objective", "tardiness", "--count", "3",
+                           "--n", "4", "--m", "4")
+    assert rc == 0
+    assert [r["status"] for r in json.loads(out)["instances"]] == ["SpeedRangeError"] * 3
+    assert err == ("warning: --m 4 and --delta 1 give speed ladders spanning from "
+                   "(1 + delta/2)**(m - 1) = 3.375 to (1 + delta)**(m - 1) = 8; instances "
+                   "whose ladder spans less than gamma = 6 fail with SpeedRangeError\n")
+
+
+def test_bench_does_not_warn_when_every_tardiness_ladder_spans_gamma(capsys):
+    # (1 + 3/2)**5 = 97.7 > gamma = 6: every draw spans gamma
+    rc, _, err = run_cli(capsys, "bench", "--objective", "tardiness", "--count", "1",
+                         "--n", "3", "--m", "6", "--delta", "3")
+    assert rc == 0
+    assert err == ""
+
+
 def test_bench_oracle_records_size_cap_errors(capsys):
     rc, out, _ = run_cli(capsys, "bench", "--count", "2", "--n", "8", "--m", "2", "--oracle")
     assert rc == 0

@@ -272,3 +272,43 @@ def test_kernel_inverse_is_accurate_before_every_rebuild(monkeypatch):
     sol = lp.solve_lp(_pipeline_model(1, 20, 3, GeneratorConfig(edge_density=0.3)))
     assert len(drift) >= 3
     assert max(drift) <= 1e-10
+
+
+# LPs shaped like the benchmark's solve-mid list and their (iterations,
+# bound_flips, degenerate_pivots, bland, kernel_max): a change to the pivot
+# loop that keeps its arithmetic keeps every pivot, and so these counts
+SOLVE_MID_TRACES = [
+    ("completion", 1, (88, 0, 49, False, 45)),
+    ("completion", 2, (57, 0, 23, False, 28)),
+    ("completion", 3, (90, 0, 56, False, 56)),
+    ("tardiness", 1, (38, 0, 13, False, 20)),
+    ("tardiness", 2, (35, 0, 18, False, 27)),
+    ("tardiness", 3, (31, 0, 19, False, 23)),
+]
+SOLVE_MID_SHAPES = {
+    "completion": (10, 3, GeneratorConfig(edge_density=0.3)),
+    "tardiness": (8, 6, GeneratorConfig(objective=Objective.TARDINESS, edge_density=0.3,
+                                        delta=3.0)),
+}
+
+
+@pytest.mark.parametrize("kind,seed,trace", SOLVE_MID_TRACES,
+                         ids=[f"{kind}-{seed}" for kind, seed, _ in SOLVE_MID_TRACES])
+def test_solve_mid_pivot_trace_is_pinned(kind, seed, trace):
+    n, m, cfg = SOLVE_MID_SHAPES[kind]
+    model = _pipeline_model(seed, n, m, cfg)
+    sol = lp.solve_lp(model)
+    assert (sol.iterations, *work(sol)) == trace
+    assert sol.objective == pytest.approx(highs_objective(model), rel=1e-9, abs=0.0)
+
+
+def test_solve_leaves_its_inputs_unchanged():
+    model = _pipeline_model(1, 10, 3, GeneratorConfig(edge_density=0.3))
+    A, senses, b = lp.constraint_arrays(model)
+    c, upper, start = model.objective, model.upper, lp.start_basis(model)
+    inputs = (c, A, b, upper, start)
+    copies = [array.copy() for array in inputs]
+    res = solve(c, A, senses, b, upper=upper, start=start)
+    assert res.status == "optimal" and res.iterations > 0
+    for array, copy in zip(inputs, copies):
+        assert np.array_equal(array, copy)
