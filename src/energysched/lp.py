@@ -134,20 +134,24 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
 
     first = job_free.argmax(axis=1) + 1     # first interval with an unpinned column
     pos = {job.id: i for i, job in enumerate(jobs)}
-    signs = np.tile([1.0, -1.0], m * T)      # every prec row's values are a prefix of it
-    signs.flags.writeable = False
+    edges = instance.precedence.transitive_reduction()
     # prec row t of edge (a, b) holds pair[:, :t] flattened, with pair the
     # (m, T, 2) stack of a's and b's columns.  For t = 1 .. T - 1 end to end,
     # ``prefix`` lists those positions in pair.ravel(): row t's run starts at
-    # m t (t - 1), so one gather per edge fills all of the edge's rows
+    # m t (t - 1), so one gather over the stacks of all edges fills every row
     below = np.arange(T) < np.arange(1, T)[:, None]                # (T - 1, T): t' < t
     _, j, tp, side = np.nonzero(np.broadcast_to(below[:, None, :, None], (T - 1, m, T, 2)))
     prefix = (j * T + tp) * 2 + side
-    for a, b in instance.precedence.transitive_reduction():
-        cols = np.stack([block[pos[a]], block[pos[b]]], axis=-1).ravel()[prefix]
-        for t in range(first[pos[b]], T):
-            rows.append(Row("prec", (a, b, t), cols[m * t * (t - 1):m * t * (t + 1)],
-                            signs[: 2 * m * t], ">=", 0.0))
+    run = [slice(m * t * (t - 1), m * t * (t + 1)) for t in range(T)]
+    pair = np.stack([block[[pos[a] for a, _ in edges]], block[[pos[b] for _, b in edges]]],
+                    axis=-1)
+    edge_cols = pair.reshape(len(edges), 2 * m * T)[:, prefix]
+    signs = np.tile([1.0, -1.0], m * T)      # every prec row's values are a prefix of it
+    signs.flags.writeable = False
+    sign = [signs[: 2 * m * t] for t in range(T)]
+    for (a, b), cols in zip(edges, edge_cols):
+        rows += [Row._make(("prec", (a, b, t), cols[run[t]], sign[t], ">=", 0.0))
+                 for t in range(first[pos[b]], T)]
 
     return LpModel(instance, grid, obj, upper, tuple(rows))
 
@@ -231,9 +235,11 @@ def solve_lp(model: LpModel) -> LpSolution:
 
 def _max_residual(A, senses, b, x) -> float:
     """Largest violation of any row by ``x``; 0.0 when every row holds."""
-    senses = np.asarray(senses)
+    # the slack sign: gap for "<=", -gap for ">=", and 0 for "=", which takes |gap|
+    sign = np.fromiter(map(simplex._SLACK_SIGN.__getitem__, senses), dtype=float,
+                       count=len(senses))
     gap = A @ x - b
-    violation = np.where(senses == "=", np.abs(gap), np.where(senses == "<=", gap, -gap))
+    violation = np.where(sign == 0.0, np.abs(gap), sign * gap)
     return float(violation.max(initial=0.0))
 
 
@@ -248,46 +254,74 @@ def _distinct(keys: np.ndarray):
     return distinct, np.searchsorted(distinct, keys)
 
 
-def _row_bodies(rows, names: list) -> list:
-    """Each row's terms ``{v:+.12g} <name>``, joined by spaces.
+def _row_bodies(rows, names: np.ndarray):
+    """The term index of the rows: every row's length, a table of the
+    distinct terms `` {v:+.12g} <name>``, and each nonzero's cell in that
+    table, rows end to end.
 
-    Each distinct value and each distinct (value, column) term is formatted
-    once.  Values are told apart by their bit pattern, so ``-0.0`` prints
-    ``-0`` and ``0.0`` prints ``+0``.
+    The table has a cell per distinct value and column, term (v, c) in cell
+    ``v * ncols + c``: a nonzero finds its term by arithmetic, with no search
+    over the nonzeros, and only the cells some nonzero marks are formatted.
+    Values are told apart by their bit pattern, so ``-0.0`` prints ``-0``
+    and ``0.0`` prints ``+0``.  An LP of ``build_lp`` has at most n m + 2 of
+    them (the loads, 1 and -1), so the table stays small.
     """
     lengths, cols, vals = _flat_rows(rows)
     bits, value_id = _distinct(vals.view(np.int64))
-    values = [f"{v:+.12g} " for v in bits.view(np.float64).tolist()]
-    pairs, term_id = _distinct(value_id * len(names) + cols)
-    value_of, col_of = np.divmod(pairs, len(names))
-    terms = np.array(
-        [values[v] + names[c] for v, c in zip(value_of.tolist(), col_of.tolist())], dtype=object
-    )
-    flat = terms[term_id].tolist()      # every row's terms, end to end
-    ends = np.cumsum(lengths).tolist()
-    return [" ".join(flat[start:end]) for start, end in zip([0] + ends, ends)]
+    values = np.array([f" {v:+.12g} " for v in bits.view(np.float64).tolist()], dtype=object)
+    cell = value_id * len(names) + cols
+    table = np.empty(len(bits) * len(names), dtype=object)
+    marked = np.zeros(table.size, dtype=bool)
+    marked[cell] = True
+    value_of, col_of = np.divmod(np.flatnonzero(marked), len(names))
+    table[marked] = values[value_of] + names[col_of]
+    return lengths, table, cell
 
 
 def lp_dump(model: LpModel) -> str:
     """Human-readable text form: one line per row, named columns x_<id>_<j>_<t>.
 
-    Each distinct row term and each distinct upper bound is formatted once.
+    Each distinct row term (indexed by :func:`_row_bodies`), each distinct
+    row tail (sense and right-hand side) and each distinct upper bound is
+    formatted once.  Numbers are keyed by bit pattern: ``-0.0 == 0.0``, yet
+    they print ``-0`` and ``0``.  The text is one join over its pieces: the
+    objective, each row's label, terms and tail, and a bound line per column.
     """
     m, T = model.instance.speedset.m, model.grid.T
-    names = [
-        f"x_{job.id}_{j}_{t}"
-        for job in model.instance.jobs for j in range(1, m + 1) for t in range(1, T + 1)
-    ]
-    objective = " ".join(
-        f"{v:+.12g} {names[c]}" for c, v in enumerate(model.objective.tolist()) if v != 0.0
-    )
-    parts = ["minimize\n  ", objective, "\nsubject to\n"]
-    for row, body in zip(model.rows, _row_bodies(model.rows, names)):
-        label = row.kind + "_" + "_".join(map(str, row.key))
-        parts += (f"  {label}: ", body, f" {row.sense} {row.rhs:.12g}\n")
-    parts.append("bounds\n")
+    suffixes = np.array([f"{j}_{t}" for j in range(1, m + 1) for t in range(1, T + 1)],
+                        dtype=object)
+    prefixes = np.array([f"x_{job.id}_" for job in model.instance.jobs], dtype=object)
+    names = (prefixes[:, None] + suffixes).ravel()
+
+    nonzero = np.flatnonzero(model.objective)
+    terms = [None] * (2 * nonzero.size)
+    terms[::2] = model.objective[nonzero].tolist()
+    terms[1::2] = names[nonzero].tolist()
+    objective = " ".join(["%+.12g %s"] * nonzero.size) % tuple(terms)
+
+    kinds, keys, _, _, senses, rhs = zip(*model.rows)
+    lengths, table, cell = _row_bodies(model.rows, names)
+    labels = {k: "  %s_" + "_".join(["%s"] * k) + ":" for k in set(map(len, keys))}
+    tail_keys = list(zip(senses, np.array(rhs, dtype=float).view(np.int64).tolist()))
+    tails = {key: f" {key[0]} {value:.12g}\n"
+             for key, value in dict(zip(tail_keys, rhs)).items()}
     bounds, bound_id = _distinct(model.upper.view(np.int64))
-    upper = [f" <= {hi:.12g}\n" for hi in bounds.view(np.float64).tolist()]
-    for name, k in zip(names, bound_id.tolist()):
-        parts += ("  0 <= ", name, upper[k])
-    return "".join(parts)
+    upper = np.array([f" <= {hi:.12g}\n" for hi in bounds.view(np.float64).tolist()],
+                     dtype=object)
+
+    # the objective; per row its label, terms and tail; "bounds"; a line per column
+    ends = np.cumsum(lengths + 2)           # each row's tail
+    starts = ends - lengths - 1             # each row's label
+    pieces = np.empty(ends[-1] + 2 + len(names), dtype=object)
+    pieces[0] = "minimize\n  " + objective + "\nsubject to\n"
+    is_term = np.zeros(pieces.size, dtype=bool)
+    is_term[1:ends[-1]] = True
+    is_term[starts] = is_term[ends] = False
+    pieces[is_term] = table[cell]
+    # a row with no terms keeps both spaces around its empty body
+    pieces[starts] = [labels[len(key)] % (kind, *key) + " " * (not length)
+                      for kind, key, length in zip(kinds, keys, lengths.tolist())]
+    pieces[ends] = list(map(tails.__getitem__, tail_keys))
+    pieces[ends[-1] + 1] = "bounds\n"
+    pieces[ends[-1] + 2:] = ("  0 <= " + names) + upper[bound_id]
+    return "".join(pieces.tolist())

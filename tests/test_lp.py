@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -399,11 +400,62 @@ def _edge_value_model():
     return dataclasses.replace(model, rows=rows, upper=upper)
 
 
+def _signed_zero_model():
+    """Two ">=" rows with right-hand sides -0.0 and 0.0 and both zeros among
+    the upper bounds: ``-0.0 == 0.0``, so a tail or bound formatted once per
+    float value prints one of each pair wrong."""
+    inst = generate(2, 2, 2, GeneratorConfig(edge_density=1.0))
+    model = build_lp(inst, build_grid(inst))
+    rows = (
+        es.lp.Row("prec", (1, 2, 8), np.array([0, 1]), np.array([1.0, -1.0]), ">=", -0.0),
+        es.lp.Row("prec", (1, 2, 9), np.array([2, 3]), np.array([1.0, -1.0]), ">=", 0.0),
+    )
+    upper = model.upper.copy()
+    upper[:4] = [-0.0, 0.0, -0.0, 0.0]
+    return dataclasses.replace(model, rows=model.rows + rows, upper=upper)
+
+
+def _many_values_model():
+    """Rows with more distinct values than the model has columns, and a row
+    with no terms."""
+    inst = generate(2, 2, 2, GeneratorConfig(edge_density=1.0))
+    model = build_lp(inst, build_grid(inst))
+    rng = np.random.default_rng(3)
+    cols = rng.integers(0, model.ncols, (4, model.ncols))
+    vals = rng.uniform(-5.0, 5.0, cols.shape)
+    rows = tuple(es.lp.Row("capacity", (k + 1,), c, v, "<=", 2.5) for k, (c, v) in
+                 enumerate(zip(cols, vals)))
+    empty = es.lp.Row("assign", (7,), np.array([], dtype=int), np.array([]), "=", 1.0)
+    assert np.unique(vals).size > model.ncols
+    return dataclasses.replace(model, rows=model.rows[:2] + rows + (empty,))
+
+
+def _tardiness_n40_models():
+    """Tardiness at n = 40 with every fourth job's energy zero: its columns
+    before the deadline have objective 0.0, which the dump leaves out."""
+    models = []
+    for seed in range(2):
+        inst = generate(seed, 40, 3, GeneratorConfig(objective=Objective.TARDINESS,
+                                                     edge_density=0.3, energy_kind="table"))
+        jobs = tuple(dataclasses.replace(job, energy=es.TableEnergy((0.0, 0.0, 0.0)))
+                     if k % 4 == 0 else job for k, job in enumerate(inst.jobs))
+        inst = dataclasses.replace(inst, jobs=jobs)
+        models.append(build_lp(inst, build_grid(inst)))
+        assert np.count_nonzero(models[-1].objective == 0.0) > 0
+    return models
+
+
 def _dump_models(case):
     if case in START_FAMILIES:
         return [model for _, _, model in _start_cases(case)]
     if case == "edge-values":
         return [_edge_value_model()]
+    if case == "signed-zeros":
+        return [_signed_zero_model()]
+    if case == "many-values":
+        return [_many_values_model()]
+    if case == "n40-tardiness":
+        return _tardiness_n40_models()
     kind = case.removeprefix("n40-")
     return [
         build_lp(inst, build_grid(inst))
@@ -412,7 +464,27 @@ def _dump_models(case):
     ]
 
 
-@pytest.mark.parametrize("case", [*START_FAMILIES, "n40-poly", "n40-table", "edge-values"])
+@pytest.mark.parametrize("case", [*START_FAMILIES, "n40-poly", "n40-table", "edge-values",
+                                  "signed-zeros", "many-values", "n40-tardiness"])
 def test_lp_dump_is_byte_identical_to_the_reference(case):
     for model in _dump_models(case):
         assert lp_dump(model) == reference_lp_dump(model)
+
+
+#: sha256 of ``reference_lp_dump(build_lp(...))`` for ``generate(seed, 40, 3,
+#: edge_density=0.3)`` by energy kind and seed, recorded before the rows were
+#: built from one edge array.  The test above reads the same rows on both
+#: sides, so only a pinned digest catches a change in the rows themselves.
+BUILD_LP_DIGESTS = {
+    ("poly", 0): "fd5f320df76a16a9ec73fcb5679ca8abe6d91ea0512193b2418150505f65acf6",
+    ("poly", 1): "601fc7654d7b163374d1fcd7fc8c9db912ab8486a1cb3a85160767e0fb07c0df",
+    ("table", 0): "156e485ec185a3cd216e48ed06769835d8ddd2aa5a6394e38bca0ba83e3f8586",
+    ("table", 1): "99aea40de96b4f5b6689d023fec3cad5c8a519497716b40f2b5893c64f67755b",
+}
+
+
+@pytest.mark.parametrize("kind, seed", BUILD_LP_DIGESTS)
+def test_build_lp_rows_are_pinned(kind, seed):
+    inst = generate(seed, 40, 3, GeneratorConfig(edge_density=0.3, energy_kind=kind))
+    text = reference_lp_dump(build_lp(inst, build_grid(inst)))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILD_LP_DIGESTS[kind, seed]
