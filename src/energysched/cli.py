@@ -69,9 +69,11 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = instance_mod.load(args.instance)
-    overrides = {"alpha": args.alpha, "epsilon": args.epsilon,
-                 "objective": args.objective and Objective(args.objective)}
-    inst = dataclasses.replace(inst, **{k: v for k, v in overrides.items() if v is not None})
+    given = {"alpha": args.alpha, "epsilon": args.epsilon,
+             "objective": args.objective and Objective(args.objective)}
+    overrides = {k: v for k, v in given.items() if v is not None}
+    if overrides:       # a replaced instance builds its grid anew; keep the loaded one's
+        inst = dataclasses.replace(inst, **overrides)
     result = pipeline.run(inst, with_oracle=args.oracle)
     _emit(pipeline.schedule_to_dict(result), args.pretty)
     return 0
@@ -143,9 +145,7 @@ def cmd_bench(args) -> int:
 
 def cmd_lpdump(args) -> int:
     inst = instance_mod.load(args.instance)
-    grid = timegrid.build_grid(inst)
-    model = lp.build_lp(inst, grid)
-    text = lp.lp_dump(model)
+    text = lp.lp_dump(lp.build_lp(inst, inst.grid))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -155,28 +155,31 @@ def cmd_lpdump(args) -> int:
     return 0
 
 
+def _perf_row(seed: int, n: int) -> dict:
+    """Grid, LP build, solve and dump of ``generate(seed, n, 3)``, each timed."""
+    inst = instance_mod.generate(seed, n, 3)
+    t0 = time.perf_counter()
+    grid = timegrid.build_grid(inst)     # not inst.grid: generate has cached it
+    t1 = time.perf_counter()
+    model = lp.build_lp(inst, grid)
+    t2 = time.perf_counter()
+    sol = lp.solve_lp(model)
+    t3 = time.perf_counter()
+    text = lp.lp_dump(model)
+    t4 = time.perf_counter()
+    return {
+        "seed": seed, "n": n, "m": 3, "rows": len(model.rows), "cols": model.ncols,
+        "iterations": sol.iterations,
+        "bound_flips": sol.bound_flips, "degenerate_pivots": sol.degenerate_pivots,
+        "bland": sol.bland, "kernel_max": sol.kernel_max, "objective": sol.objective,
+        "grid_s": t1 - t0, "build_s": t2 - t1, "solve_s": t3 - t2,
+        "dump_s": t4 - t3, "dump_bytes": len(text.encode()),
+    }
+
+
 def cmd_perf(args) -> int:
-    rows = []
-    for n in PERF_SIZES:
-        for seed in PERF_SEEDS:
-            inst = instance_mod.generate(seed, n, 3)
-            t0 = time.perf_counter()
-            grid = timegrid.build_grid(inst)
-            t1 = time.perf_counter()
-            model = lp.build_lp(inst, grid)
-            t2 = time.perf_counter()
-            sol = lp.solve_lp(model)
-            t3 = time.perf_counter()
-            text = lp.lp_dump(model)
-            t4 = time.perf_counter()
-            rows.append({
-                "seed": seed, "n": n, "m": 3, "rows": len(model.rows), "cols": model.ncols,
-                "iterations": sol.iterations,
-                "bound_flips": sol.bound_flips, "degenerate_pivots": sol.degenerate_pivots,
-                "bland": sol.bland, "kernel_max": sol.kernel_max, "objective": sol.objective,
-                "grid_s": t1 - t0, "build_s": t2 - t1, "solve_s": t3 - t2,
-                "dump_s": t4 - t3, "dump_bytes": len(text.encode()),
-            })
+    _perf_row(PERF_SEEDS[0], PERF_SIZES[0])      # untimed warm-up: the first row runs warm too
+    rows = [_perf_row(seed, n) for n in PERF_SIZES for seed in PERF_SEEDS]
     env = {
         "python": platform.python_version(), "numpy": np.__version__,
         "machine": platform.machine(), "cpus": os.cpu_count(),

@@ -116,6 +116,8 @@ class PrecedenceDag:
 
 @dataclass(frozen=True)
 class Instance:
+    """One scheduling problem.  ``energy_costs``, ``due`` and ``grid`` are computed
+    on first use from the frozen fields, and kept for every later use."""
     jobs: tuple
     speedset: SpeedSet
     precedence: PrecedenceDag = PrecedenceDag()
@@ -152,6 +154,10 @@ class Instance:
         due = np.array([job.deadline if tardy else 0.0 for job in self.jobs], dtype=float)
         due.flags.writeable = False
         return due
+
+    @functools.cached_property
+    def grid(self) -> timegrid.TimeGrid:
+        return timegrid.build_grid(self)
 
     @property
     def has_releases(self) -> bool:
@@ -257,7 +263,7 @@ def validate(instance: Instance) -> list:
         report.append("tardiness objective requires all release dates to be 0")
     if not report:                  # the grid needs valid fields
         try:
-            timegrid.build_grid(instance)
+            instance.grid           # kept for every later stage; a build that raises keeps nothing
         except ValueError as exc:   # a grid too fine to build
             report.append(str(exc))
     return report

@@ -73,20 +73,16 @@ def run(instance: Instance, with_oracle: bool = False,
         raise ValueError("invalid instance: " + "; ".join(problems))
 
     # these checks fail fast: none depends on the LP solution
-    if instance.objective is Objective.TARDINESS:
+    tardy = instance.objective is Objective.TARDINESS
+    if tardy:
         check_energy_assumption(instance)
         rounding.check_speed_range(instance)
     if with_oracle:
         oracle.check_size(instance, *oracle_caps)
 
-    grid = timegrid.build_grid(instance)
-    model = lp.build_lp(instance, grid)
+    model = lp.build_lp(instance, instance.grid)
     solution = lp.solve_lp(model)
-
-    if instance.objective is Objective.TARDINESS:
-        schedule = rounding.saias_t(instance, solution)
-    else:
-        schedule = rounding.saias(instance, solution)
+    schedule = (rounding.saias_t if tardy else rounding.saias)(instance, solution)
 
     lp_bound = solution.objective
     report = {
@@ -98,13 +94,13 @@ def run(instance: Instance, with_oracle: bool = False,
         "epsilon": instance.epsilon,
         "delta": instance.speedset.delta,
     }
-    if instance.objective is Objective.TARDINESS:
+    if tardy:
         report["gamma"] = rounding.tardiness_gamma(instance.epsilon, instance.alpha)
     if with_oracle:
         exact = oracle.brute_force(instance, *oracle_caps)
         report["oracle_cost"] = exact.cost
         report["ratio_vs_oracle"] = schedule.cost / exact.cost if exact.cost > 0 else 1.0
-    return PipelineResult(instance, grid, model, solution, schedule, report)
+    return PipelineResult(instance, instance.grid, model, solution, schedule, report)
 
 
 def schedule_to_dict(result: PipelineResult) -> dict:

@@ -394,16 +394,10 @@ def _factor(kernel: _Kernel, b, at_upper) -> None:
     """Rebuild B11^-1 from scratch, and x_B from the nonbasics' bounds."""
     A, r, k = kernel.A, kernel.nrows, kernel.k
     rows, cols = kernel.rows[:k], kernel.cols[:k]
-    B11 = A[np.ix_(rows, cols)]
-    if np.array_equal(B11, np.eye(k)):
-        # the list-schedule start: one column of coefficient 1 per assign row.
-        # LAPACK inverts the identity exactly, so this skips only its cost
-        kernel.inv[...] = B11
-    else:
-        try:
-            kernel.inv[...] = np.linalg.inv(B11)
-        except np.linalg.LinAlgError as exc:
-            raise SimplexError(f"singular basis: {exc}") from exc
+    try:
+        kernel.inv[...] = np.linalg.inv(A[np.ix_(rows, cols)])
+    except np.linalg.LinAlgError as exc:
+        raise SimplexError(f"singular basis: {exc}") from exc
     x = np.where(at_upper[:kernel.ncols], kernel.hi[:kernel.ncols], 0.0)
     x[cols] = 0.0
     # nonbasic slacks rest at zero; with every structural at zero too, A x is 0

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from energysched import cli, lp, oracle, timegrid
+from energysched import cli, lp, oracle, pipeline, timegrid
 from energysched.energy import PolynomialEnergy, TableEnergy
 from energysched.instance import (
     GeneratorConfig,
@@ -121,6 +121,11 @@ def test_solve_applies_objective_alpha_and_epsilon_together(tmp_path, capsys):
     report = json.loads(out)["report"]
     assert (report["alpha"], report["epsilon"]) == (0.45, 0.8)
     assert report["gamma"] == (1 + 0.8) / (0.45 * (1 - 0.45))    # only tardiness reports it
+    # the overridden instance keeps no grid of the loaded one: it solves as the same
+    # instance saved with those values does
+    save(dataclasses.replace(load(path), objective=Objective.TARDINESS, alpha=0.45,
+                             epsilon=0.8), path)
+    assert run_cli(capsys, "solve", str(path)) == (0, out, "")
 
 
 def test_oracle_subcommand_matches_solve_oracle(inst_path, capsys):
@@ -559,6 +564,38 @@ def test_tiny_epsilon_exits_2_without_building_the_grid(
     assert err.startswith("error:")
     assert "epsilon = 1e-17 gives a time grid of more than 1000 intervals" in err
     assert 1e-17 not in built           # validate's call stopped at the limit
+
+
+def _record_grid_builds(monkeypatch) -> list:
+    """The epsilon of every grid ``timegrid.build_grid`` builds from here on."""
+    build_grid, built = timegrid.build_grid, []
+
+    def recording_build_grid(instance):
+        built.append(instance.epsilon)
+        return build_grid(instance)
+
+    monkeypatch.setattr(timegrid, "build_grid", recording_build_grid)
+    return built
+
+
+@pytest.mark.parametrize("argv, epsilons", [
+    (["solve"], [0.5]),
+    (["lp-dump"], [0.5]),
+    (["solve", "--epsilon", "0.8"], [0.5, 0.8]),     # the loaded instance's, then the override's
+])
+def test_each_instance_builds_its_grid_once(argv, epsilons, inst_path, capsys, monkeypatch):
+    built = _record_grid_builds(monkeypatch)
+    rc, _, _ = run_cli(capsys, argv[0], inst_path, *argv[1:])
+    assert rc == 0
+    assert built == epsilons
+
+
+def test_run_reuses_the_grid_validation_built(monkeypatch):
+    inst = generate(11, 5, 3)          # generate validates the instance, which builds its grid
+    built = _record_grid_builds(monkeypatch)
+    result = pipeline.run(inst)
+    assert built == []
+    assert result.grid is inst.grid
 
 
 @pytest.mark.parametrize("objective", ["completion", "tardiness"])

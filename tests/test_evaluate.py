@@ -127,6 +127,20 @@ def test_algorithm_outputs_always_pass_checker():
         assert check_feasible(inst, res.schedule) == []
 
 
+@pytest.mark.parametrize("config, m", [
+    (GeneratorConfig(), 3),
+    (GeneratorConfig(release_max=5.0), 3),
+    (GeneratorConfig(energy_kind="table"), 3),
+    (GeneratorConfig(objective=Objective.TARDINESS, delta=3.0), 6),
+], ids=["completion", "releases", "table", "tardiness"])
+def test_paper_bounds_hold_at_n40(config, m):
+    inst = generate(1, 40, m, config)
+    res = es.run(inst)
+    assert res.report["ratio_vs_lp"] <= res.report["theoretical_bound"]
+    assert check_feasible(inst, res.schedule) == []
+    assert np.abs(res.solution.x.sum(axis=(1, 2)) - 1.0).max() < 1e-9
+
+
 def test_oracle_cost_matches_shared_evaluator_bit_for_bit():
     inst = generate(8, 4, 2, GeneratorConfig(edge_density=0.3))
     exact = es.brute_force(inst)
