@@ -92,26 +92,22 @@ class PrecedenceDag:
     def transitive_reduction(self) -> tuple:
         """The edges that no path of two or more other edges implies.
 
-        Edges keep their order; a repeated edge is kept once.
+        Warshall's recurrence closes the adjacency matrix into ``reach``; edge
+        (a, b) is implied when a reaches a job that reaches b (Aho, Garey and
+        Ullman, 1972).  Edges keep their order; a repeated edge is kept once.
         """
         edges = tuple(dict.fromkeys(self.edges))
-        ids = sorted({v for edge in edges for v in edge})
-        order = priority_order(ids, edges)
-        if order is None:
+        # ids are arbitrary Python ints, so they are numbered, not cast to int64
+        index = {v: k for k, v in enumerate(dict.fromkeys(v for edge in edges for v in edge))}
+        a, b = np.array([(index[u], index[v]) for u, v in edges], dtype=np.intp).reshape(-1, 2).T
+        reach = np.zeros((len(index), len(index)), dtype=bool)
+        reach[a, b] = True
+        for k in range(len(index)):
+            reach |= reach[:, k, None] & reach[k]
+        if reach.diagonal().any():
             raise ValueError("precedence graph has a cycle")
-        bit = {v: 1 << k for k, v in enumerate(ids)}
-        succ = {v: [] for v in ids}
-        for a, b in edges:
-            succ[a].append(b)
-        below = {}                 # bit mask of the jobs reachable from each job
-        for v in reversed(order):
-            below[v] = 0
-            for w in succ[v]:
-                below[v] |= bit[w] | below[w]
-        return tuple(
-            (a, b) for a, b in edges
-            if not any(below[c] & bit[b] for c in succ[a])
-        )
+        implied = (reach[a] & reach[:, b].T).any(axis=1)
+        return tuple(edge for edge, skip in zip(edges, implied.tolist()) if not skip)
 
 
 @dataclass(frozen=True)

@@ -93,8 +93,7 @@ class LpSolution(simplex.SolveResult):
 
     def fractional_completion(self, grid: TimeGrid) -> np.ndarray:
         """Per-job expected interval lower bound, sum_jt tau_{t-1} * x_ijt."""
-        lowers = np.array([grid.lower(t) for t in range(1, grid.T + 1)])
-        return np.einsum("ijt,t->i", self.x, lowers)
+        return np.einsum("ijt,t->i", self.x, np.array(grid.tau[:-1]))
 
 
 def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
@@ -156,22 +155,20 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     return LpModel(instance, grid, obj, upper, tuple(rows))
 
 
-def _flat_rows(rows):
+def _flat(cols, vals):
     """Every row's length, and the column indices and values of all rows end to end."""
-    _, _, cols, vals, _, _ = zip(*rows)
     lengths = np.fromiter(map(len, cols), dtype=np.intp, count=len(cols))
     return lengths, np.concatenate(cols), np.concatenate(vals, dtype=float)
 
 
 def constraint_arrays(model: LpModel):
     """The rows as a dense matrix ``A``, a list of senses and a vector ``b``."""
-    rows, ncols = model.rows, model.ncols
-    lengths, cols, vals = _flat_rows(rows)
-    A = np.zeros((len(rows), ncols))
+    _, _, cols, vals, senses, rhs = zip(*model.rows)
+    lengths, cols, vals = _flat(cols, vals)
+    A = np.zeros((len(lengths), model.ncols))
     # one scatter into the flat matrix, at row offset plus column
-    A.ravel()[np.repeat(np.arange(0, len(rows) * ncols, ncols), lengths) + cols] = vals
-    b = np.array([row.rhs for row in rows], dtype=float)
-    return A, [row.sense for row in rows], b
+    A.ravel()[np.repeat(np.arange(0, A.size, model.ncols), lengths) + cols] = vals
+    return A, list(senses), np.array(rhs, dtype=float)
 
 
 def start_basis(model: LpModel) -> np.ndarray:
@@ -254,10 +251,10 @@ def _distinct(keys: np.ndarray):
     return distinct, np.searchsorted(distinct, keys)
 
 
-def _row_bodies(rows, names: np.ndarray):
-    """The term index of the rows: every row's length, a table of the
-    distinct terms `` {v:+.12g} <name>``, and each nonzero's cell in that
-    table, rows end to end.
+def _row_bodies(cols, vals, names: np.ndarray):
+    """The term index of the rows with ``cols`` and ``vals``: every row's
+    length, a table of the distinct terms `` {v:+.12g} <name>``, and each
+    nonzero's cell in that table, rows end to end.
 
     The table has a cell per distinct value and column, term (v, c) in cell
     ``v * ncols + c``: a nonzero finds its term by arithmetic, with no search
@@ -266,7 +263,7 @@ def _row_bodies(rows, names: np.ndarray):
     and ``0.0`` prints ``+0``.  An LP of ``build_lp`` has at most n m + 2 of
     them (the loads, 1 and -1), so the table stays small.
     """
-    lengths, cols, vals = _flat_rows(rows)
+    lengths, cols, vals = _flat(cols, vals)
     bits, value_id = _distinct(vals.view(np.int64))
     values = np.array([f" {v:+.12g} " for v in bits.view(np.float64).tolist()], dtype=object)
     cell = value_id * len(names) + cols
@@ -299,8 +296,8 @@ def lp_dump(model: LpModel) -> str:
     terms[1::2] = names[nonzero].tolist()
     objective = " ".join(["%+.12g %s"] * nonzero.size) % tuple(terms)
 
-    kinds, keys, _, _, senses, rhs = zip(*model.rows)
-    lengths, table, cell = _row_bodies(model.rows, names)
+    kinds, keys, cols, vals, senses, rhs = zip(*model.rows)
+    lengths, table, cell = _row_bodies(cols, vals, names)
     labels = {k: "  %s_" + "_".join(["%s"] * k) + ":" for k in set(map(len, keys))}
     tail_keys = list(zip(senses, np.array(rhs, dtype=float).view(np.int64).tolist()))
     tails = {key: f" {key[0]} {value:.12g}\n"

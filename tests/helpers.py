@@ -97,6 +97,35 @@ def reference_lp_dump(model):
     return "\n".join(lines) + "\n"
 
 
+def reference_transitive_reduction(dag):
+    """The edges that no path of two or more other edges implies, as
+    ``PrecedenceDag.transitive_reduction`` must give them: a Kahn sort, then
+    per job the bit mask of the jobs it reaches.
+
+    Edges keep their order; a repeated edge is kept once.
+    """
+    from energysched.instance import priority_order
+
+    edges = tuple(dict.fromkeys(dag.edges))
+    ids = sorted({v for edge in edges for v in edge})
+    order = priority_order(ids, edges)
+    if order is None:
+        raise ValueError("precedence graph has a cycle")
+    bit = {v: 1 << k for k, v in enumerate(ids)}
+    succ = {v: [] for v in ids}
+    for a, b in edges:
+        succ[a].append(b)
+    below = {}                 # bit mask of the jobs reachable from each job
+    for v in reversed(order):
+        below[v] = 0
+        for w in succ[v]:
+            below[v] |= bit[w] | below[w]
+    return tuple(
+        (a, b) for a, b in edges
+        if not any(below[c] & bit[b] for c in succ[a])
+    )
+
+
 def random_box_lp(rng, nvars=4, nrows=4):
     """Random bounded-feasible LP: A x <= b with b >= 0, finite box."""
     c = rng.uniform(-2, 2, nvars)

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -278,6 +279,26 @@ def test_lp_dump_to_file(inst_path, tmp_path, capsys):
     text = path.read_text()
     assert text.startswith("minimize")
     assert "assign_1:" in text
+
+
+def test_ids_past_int64_dump_and_solve(tmp_path, capsys):
+    # the edge (-3, 10**20) is implied by -3 -> 7 -> 10**20, so the reduction
+    # must tell ids apart that no int64 holds
+    big = 10**20
+    path = tmp_path / "big.json"
+    save(Instance(jobs=(Job(-3, 2, 1.0), Job(big, 1, 2.0), Job(7, 3, 0.5)),
+                  speedset=SpeedSet((1.0, 2.0), 1.0),
+                  precedence=PrecedenceDag(((-3, 7), (7, big), (-3, big)))), path)
+    rc, out, err = run_cli(capsys, "lp-dump", str(path))
+    assert (rc, err) == (0, "")
+    assert "prec_-3_7_" in out and "prec_7_100000000000000000000_" in out
+    assert "prec_-3_100000000000000000000_" not in out
+    # recorded when the reduction still used per-job bit masks
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "406cf39fbae089438eb887c2da9c6ef5f61c07c09f32ec11c9190a7fd57c972d")
+    rc, out, err = run_cli(capsys, "solve", str(path))
+    assert (rc, err) == (0, "")
+    assert set(json.loads(out)["jobs"]) == {"-3", "7", str(big)}
 
 
 def test_perf_records_each_seed_and_size(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 
 import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -21,6 +22,8 @@ from energysched import (
     validate,
 )
 from energysched.instance import from_dict, to_dict
+
+from helpers import reference_transitive_reduction
 
 
 def minimal_instance(**kw):
@@ -54,6 +57,52 @@ def test_transitive_reduction_drops_implied_and_repeated_edges():
 def test_transitive_reduction_rejects_a_cycle():
     with pytest.raises(ValueError, match="cycle"):
         PrecedenceDag(((1, 2), (2, 3), (3, 1))).transitive_reduction()
+
+
+def _reduction_or_error(reduce, dag):
+    try:
+        return reduce(dag)
+    except ValueError as exc:
+        return str(exc)
+
+
+#: ids a precedence edge may carry: negative, zero, past int64 and past uint64
+ID_POOL = [-7, -1, 0, 1, 2, 3, 5, 9, 40, 41, 1000, 2**63 + 7, 10**20, -(10**20)]
+
+
+def _random_edges(rng):
+    """Edges among 1-14 shuffled ids: forward edges of a random order, some
+    repeated, with a back edge in about 10 % and a self-loop in about 2 %."""
+    ids = rng.sample(ID_POOL, rng.randint(1, 14))
+    edges = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:] if rng.random() < 0.4]
+    edges += rng.choices(edges, k=rng.randint(0, len(edges)))
+    rng.shuffle(edges)
+    if edges and rng.random() < 0.1:
+        a, b = rng.choice(edges)
+        edges.insert(rng.randint(0, len(edges)), (b, a))
+    if rng.random() < 0.02:
+        v = rng.choice(ids)
+        edges.insert(rng.randint(0, len(edges)), (v, v))
+    return tuple(edges)
+
+
+def test_transitive_reduction_matches_the_reference_on_random_edges():
+    rng = random.Random(2024)
+    cycles = 0
+    for _ in range(2500):
+        dag = PrecedenceDag(_random_edges(rng))
+        expected = _reduction_or_error(reference_transitive_reduction, dag)
+        assert _reduction_or_error(PrecedenceDag.transitive_reduction, dag) == expected, dag
+        cycles += isinstance(expected, str)
+    assert cycles > 100                   # the error path is exercised too
+
+
+@pytest.mark.parametrize("n", [40, 80, 120])
+@pytest.mark.parametrize("density", [0.3, 0.8])
+def test_transitive_reduction_matches_the_reference_on_generated_dags(n, density):
+    for seed in (1, 2):
+        dag = generate(seed, n, 3, GeneratorConfig(edge_density=density)).precedence
+        assert dag.transitive_reduction() == reference_transitive_reduction(dag)
 
 
 def test_speed_spacing_violation():

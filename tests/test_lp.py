@@ -488,3 +488,25 @@ def test_build_lp_rows_are_pinned(kind, seed):
     inst = generate(seed, 40, 3, GeneratorConfig(edge_density=0.3, energy_kind=kind))
     text = reference_lp_dump(build_lp(inst, build_grid(inst)))
     assert hashlib.sha256(text.encode()).hexdigest() == BUILD_LP_DIGESTS[kind, seed]
+
+
+#: sha256 of ``constraint_arrays(build_lp(...))`` (``A.tobytes()``, the senses'
+#: repr, then ``b.tobytes()``) for ``generate(seed, 40, 3, edge_density=0.3)``
+#: by energy kind and seed, recorded before ``constraint_arrays`` read the rows
+#: in one pass.  The simplex reads these arrays, not the dump.
+CONSTRAINT_ARRAY_DIGESTS = {
+    ("poly", 0): "f4f2214dd26a5ca0f466b4ebc7a367be5312f05ad950bde89a4daca20bb52517",
+    ("poly", 1): "0b037789bfcd3398d3ce3716667d4ef2b49d9c2952dbf05d2ded7d4dd59d9970",
+    ("table", 0): "234fc5c197951c1d07d6204029ae5af04d49cc635f919bb6a172388ec2ef8f56",
+    ("table", 1): "81e153618c5688bb7a2d3c7acfa6c63668c903ef9ec71b7bd14a34149bdd89a6",
+}
+
+
+@pytest.mark.parametrize("kind, seed", CONSTRAINT_ARRAY_DIGESTS)
+def test_constraint_arrays_are_pinned(kind, seed):
+    inst = generate(seed, 40, 3, GeneratorConfig(edge_density=0.3, energy_kind=kind))
+    A, senses, b = constraint_arrays(build_lp(inst, build_grid(inst)))
+    digest = hashlib.sha256(A.tobytes())
+    digest.update(repr(senses).encode())
+    digest.update(b.tobytes())
+    assert digest.hexdigest() == CONSTRAINT_ARRAY_DIGESTS[kind, seed]
