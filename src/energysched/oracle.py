@@ -87,18 +87,13 @@ def _runs(size, cells):
     """Split consecutive masks into runs whose padded block fits ``CHUNK_CELLS``.
 
     A mask whose front holds F states takes ``cells(F)`` cells, so a run of
-    masks takes its length times the cells of its longest front.  Yields
-    (lo, hi, longest) per run; a single mask always forms a run.
+    masks takes its length times the cells of its longest front.  Each run
+    takes as many masks as fit at the longest front of all, at least one.
+    Yields (lo, hi, longest) per run.
     """
-    lo, end = 0, len(size)
-    while lo < end:
-        hi, longest = end, size[lo:].max()
-        if (hi - lo) * cells(longest) > CHUNK_CELLS:
-            hi, longest = lo + 1, size[lo]
-            while hi < end and (hi + 1 - lo) * cells(max(longest, size[hi])) <= CHUNK_CELLS:
-                hi, longest = hi + 1, max(longest, size[hi])
-        yield lo, hi, longest
-        lo = hi
+    step = max(1, CHUNK_CELLS // cells(size.max()))
+    for lo in range(0, len(size), step):
+        yield lo, min(lo + step, len(size)), size[lo:lo + step].max()
 
 
 def _cells(size):

@@ -13,11 +13,10 @@ L and the columns J, L gives
 
     B = [[B11, 0], [A[L, J], D]],     B11 = A[K, J]  (k x k),
 
-so only the structural kernel B11 needs an inverse, kept dense and
-contiguous in one of two preallocated buffers; a change of k moves it into
-the other (Suhl & Suhl, 1990, *Computing sparse LU factorizations for
-large-scale linear programming bases*, split off the logical part in the
-same way).  With ``D^-1 = D``:
+so only the structural kernel B11 needs an inverse, kept as a dense k x k
+array that a change of k replaces (Suhl & Suhl, 1990, *Computing sparse LU
+factorizations for large-scale linear programming bases*, split off the
+logical part in the same way).  With ``D^-1 = D``:
 
 * FTRAN of a column a: ``w_J = B11^-1 a_K``, then ``w_L = D (a_L - A[L, J] w_J)``;
 * BTRAN of costs c: ``y_K = c_J B11^-1`` and ``y_L = 0``, as slacks cost
@@ -202,13 +201,13 @@ class _Kernel:
 
     A basic slot is a row (slots 0..r-1, its basic logical) or a kernel
     position p (slot r + p).  Position p pairs structural column ``cols[p]``
-    (of J) with row ``rows[p]`` (of K); ``inv`` is B11^-1, a contiguous
-    k x k array with its rows indexed by column position and its columns by
-    row position, and ``AJt[p]`` is ``A[:, cols[p]]``.  ``logical[i]`` is
-    the slack basic on row i and ``dsign[i]`` its sign; on a kernel row
-    dsign is 0 and ``logical`` names the placeholder column, nonbasic and
-    fixed at zero.  Slack ``ncols + l`` sits on row ``lrow[l]`` with sign
-    ``lsign[l]``.
+    (of J) with row ``rows[p]`` (of K); ``inv`` is B11^-1, a k x k array,
+    new whenever k changes, with its rows indexed by column position and
+    its columns by row position, and ``AJt[p]`` is ``A[:, cols[p]]``.
+    ``logical[i]`` is the slack basic on row i and ``dsign[i]`` its sign; on
+    a kernel row dsign is 0 and ``logical`` names the placeholder column,
+    nonbasic and fixed at zero.  Slack ``ncols + l`` sits on row ``lrow[l]``
+    with sign ``lsign[l]``.
 
     The basic variables live by slot: slot s holds column ``basic[s]`` at
     value ``xB[s]`` below its upper bound ``hiB[s]``, and the FTRAN column
@@ -226,10 +225,6 @@ class _Kernel:
         self.lrow = row_sign.nonzero()[0]
         self.lsign = row_sign[self.lrow]
         self.placeholder = ncols + len(self.lrow)
-        # B11^-1 and a rank-1 term, each k x k in a flat buffer; a change of
-        # k moves the inverse into the spare buffer, in the new shape
-        self._buffers = [np.empty(cap * cap), np.empty(cap * cap)]
-        self._outer = np.empty(cap * cap)
         self.AJt = np.empty((cap, nrows))
         self.rows = np.empty(cap, dtype=np.intp)
         self.kpos = np.full(nrows, -1)
@@ -250,7 +245,7 @@ class _Kernel:
         self.play, self.up = np.empty(nslots, dtype=bool), np.empty(nslots, dtype=bool)
         self.logical[self.lrow] = ncols + np.arange(len(self.lrow))
         k = self.k = self.kmax = len(rows)
-        self.inv = self._buffers[0][:k * k].reshape(k, k)
+        self.inv = np.empty((k, k))
         self.cols[:k], self.rows[:k] = cols, rows
         self.kpos[rows] = np.arange(k)
         self.AJt[:k] = A[:, cols].T
@@ -312,32 +307,25 @@ class _Kernel:
         """Move x_B by ``-t * w``."""
         np.subtract(self.xB, np.multiply(self.w, t, out=self.num), out=self.xB)
 
-    def _reshape(self, k):
-        """Make the spare buffer the k x k inverse, and return it unfilled."""
-        self._buffers.reverse()
-        self.inv = self._buffers[0][:k * k].reshape(k, k)
-        return self.inv
-
     def change(self, slot, q, a, xq):
         """Column ``q`` (dense column ``a``, with ``w, wr`` from :meth:`ftran`)
         replaces the basic of ``slot`` and takes the value ``xq``."""
         r, k, ncols, inv = self.nrows, self.k, self.ncols, self.inv
         wJ = self.w[r:r + k]
-        outer = self._outer[:k * k].reshape(k, k)
         if q >= ncols:
             i = self.lrow[q - ncols]             # the entering slack's row
             qsign = self.lsign[q - ncols]
         if slot >= r and q < ncols:              # structural for structural
             p = slot - r
             piv = inv[p] / wJ[p]
-            inv -= np.multiply.outer(wJ, piv, out=outer)
+            inv -= np.multiply.outer(wJ, piv)
             inv[p] = piv
             self.cols[p], self.cB[p] = q, self.c[q]
             self.xB[slot], self.hiB[slot] = xq, self.hi[q]
             self.AJt[p] = a
         elif slot >= r:                          # slack of kernel row i for structural
             p, pi, last = slot - r, self.kpos[i], k - 1
-            inv -= np.multiply.outer(inv[:, pi], inv[p] / inv[p, pi], out=outer)
+            inv -= np.multiply.outer(inv[:, pi], inv[p] / inv[p, pi])
             self.kpos[i] = -1
             if p != last:                        # the last position fills the gap
                 inv[p] = inv[last]
@@ -348,7 +336,7 @@ class _Kernel:
                 inv[:last, pi] = inv[:last, last]
                 self.rows[pi] = self.rows[last]
                 self.kpos[self.rows[pi]] = pi
-            self._reshape(last)[...] = inv[:last, :last]
+            self.inv = inv[:last, :last].copy()
             self.k = last
             self.w[r + last] = 0.0               # the freed slot leaves the ratio test
             self._enter_slack(i, q, qsign, xq)
@@ -356,8 +344,8 @@ class _Kernel:
             l = slot
             s = self.wr[l]
             zs = np.matmul(self.AJt[:k, l], inv) / s
-            inv += np.multiply.outer(wJ, zs, out=outer)
-            grown = self._reshape(k + 1)
+            inv += np.multiply.outer(wJ, zs)
+            grown = self.inv = np.empty((k + 1, k + 1))
             grown[:k, :k] = inv
             np.divide(wJ, -s, out=grown[:k, k])
             np.negative(zs, out=grown[k, :k])
@@ -372,7 +360,7 @@ class _Kernel:
             l, pi = slot, self.kpos[i]
             z = np.matmul(self.AJt[:k, l], inv)
             col = inv[:, pi] / z[pi]
-            inv -= np.multiply.outer(col, z, out=outer)
+            inv -= np.multiply.outer(col, z)
             inv[:, pi] = col
             self.rows[pi], self.kpos[l], self.kpos[i] = l, pi, -1
             self._leave_slack(l)

@@ -18,6 +18,7 @@ from energysched import (
     TableEnergy,
     generate,
     load,
+    quantize_speed_range,
     save,
     validate,
 )
@@ -220,6 +221,22 @@ BAD_GENERATOR = {
 def test_generator_refuses_each_bad_setting(message):
     with pytest.raises(ValueError, match=re.escape(message)):
         BAD_GENERATOR[message]()
+
+
+#: the message of each (sigma_min, sigma_max, delta) the speed ladder refuses
+BAD_SPEED_RANGE = {
+    "invalid speed range [0.0, 2.0]": (0.0, 2.0, 1.0),
+    "invalid speed range [-1.0, 2.0]": (-1.0, 2.0, 1.0),
+    "invalid speed range [2.0, 1.0]": (2.0, 1.0, 1.0),
+    "ladder spacing must be positive, got 0.0": (1.0, 2.0, 0.0),
+    "ladder spacing must be positive, got -0.5": (1.0, 2.0, -0.5),
+}
+
+
+@pytest.mark.parametrize("message", BAD_SPEED_RANGE)
+def test_speed_ladder_refuses_each_bad_range(message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        quantize_speed_range(*BAD_SPEED_RANGE[message])
 
 
 @pytest.mark.parametrize("seed", range(20))

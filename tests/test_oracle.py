@@ -229,6 +229,26 @@ def test_runs_of_one_mask_stay_bit_identical_to_full_enumeration(family, fields,
     assert max(masks for masks, _ in calls) > 1 or family in ("n1", "chain")
 
 
+@pytest.mark.parametrize("cells", [lambda f: f, lambda f: f * f], ids=["front", "pairs"])
+def test_runs_cover_every_mask_and_fit_the_chunk(cells):
+    rng = np.random.default_rng(7)
+    oversize = packed = 0
+    for _ in range(300):
+        top = int(rng.integers(1, 2001))
+        size = rng.integers(1, top + 1, size=int(rng.integers(1, 301)))
+        runs = list(oracle._runs(size, cells))
+        assert [lo for lo, _, _ in runs] == [0] + [hi for _, hi, _ in runs[:-1]]
+        assert runs[-1][1] == len(size)
+        for lo, hi, longest in runs:
+            assert lo < hi and longest == size[lo:hi].max()
+            if hi - lo > 1:
+                assert (hi - lo) * cells(longest) <= oracle.CHUNK_CELLS
+                packed += 1
+            oversize += cells(longest) > oracle.CHUNK_CELLS
+    # runs of many masks are drawn, and so is a front past the chunk wherever one can be
+    assert packed and (oversize > 0) == (cells(2000) > oracle.CHUNK_CELLS)
+
+
 def test_n12_peak_memory_stays_under_8_mb():
     inst = generate(1, 12, 3, GeneratorConfig(edge_density=0.0, release_max=5.0))
     tracemalloc.start()
