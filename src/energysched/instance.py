@@ -112,8 +112,9 @@ class PrecedenceDag:
 
 @dataclass(frozen=True)
 class Instance:
-    """One scheduling problem.  ``energy_costs``, ``due`` and ``grid`` are computed
-    on first use from the frozen fields, and kept for every later use."""
+    """One scheduling problem, valid by construction: building one runs :func:`validate`.
+    ``energy_costs``, ``due`` and ``grid`` are computed on first use from the
+    frozen fields, and kept for every later use."""
     jobs: tuple
     speedset: SpeedSet
     precedence: PrecedenceDag = PrecedenceDag()
@@ -121,6 +122,11 @@ class Instance:
     alpha: float = 0.5
     epsilon: float = 0.5
     beta: float = 2.0
+
+    def __post_init__(self):
+        problems = validate(self)
+        if problems:
+            raise ValueError("invalid instance: " + "; ".join(problems))
 
     @property
     def n(self) -> int:
@@ -195,7 +201,9 @@ def _job_numbers(job: Job) -> dict:
 def validate(instance: Instance) -> list:
     """Report-style validation: returns the list of violated invariants.
 
-    An empty list means the instance is valid.
+    An empty list means the instance is valid.  Building an ``Instance`` runs
+    this once and raises ``ValueError`` on a non-empty list, so no invalid
+    instance exists.
     """
     report = []
     if not instance.jobs:
@@ -402,19 +410,18 @@ def from_dict(data: dict) -> Instance:
     speeds = tuple(_field("", f"speeds[{k}]", _real, s) for k, s in enumerate(data["speeds"]))
     real = {name: _field("", name, _real, data[name])
             for name in ("delta", "alpha", "epsilon", "beta")}
-    instance = Instance(
-        jobs=tuple(jobs),
-        speedset=SpeedSet(speeds, real["delta"]),
-        precedence=PrecedenceDag(edges),
-        objective=objective,
-        alpha=real["alpha"],
-        epsilon=real["epsilon"],
-        beta=real["beta"],
-    )
-    report = validate(instance)
-    if report:
-        raise ParseError("invalid instance: " + "; ".join(report))
-    return instance
+    try:
+        return Instance(
+            jobs=tuple(jobs),
+            speedset=SpeedSet(speeds, real["delta"]),
+            precedence=PrecedenceDag(edges),
+            objective=objective,
+            alpha=real["alpha"],
+            epsilon=real["epsilon"],
+            beta=real["beta"],
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def save(instance: Instance, path) -> None:
@@ -504,7 +511,8 @@ def generate(seed: int, n: int, m: int, config: GeneratorConfig | None = None) -
 
     with_releases = any(j.release > 0 for j in jobs)
     alpha = cfg.alpha if cfg.alpha is not None else default_alpha(cfg.objective, with_releases)
-    instance = Instance(
+    # a config field, such as a tiny epsilon, can make the instance invalid
+    return Instance(
         jobs=tuple(jobs),
         speedset=speedset,
         precedence=PrecedenceDag(tuple(edges)),
@@ -513,7 +521,3 @@ def generate(seed: int, n: int, m: int, config: GeneratorConfig | None = None) -
         epsilon=cfg.epsilon,
         beta=cfg.beta,
     )
-    report = validate(instance)
-    if report:  # a config field, such as a tiny epsilon, can make the instance invalid
-        raise ValueError("generated instance is invalid: " + "; ".join(report))
-    return instance

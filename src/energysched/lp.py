@@ -98,8 +98,6 @@ class LpSolution(simplex.SolveResult):
 
 def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     """The relaxation of ``instance`` on ``grid``, for the instance's objective."""
-    if instance.objective is Objective.TARDINESS and instance.has_releases:
-        raise ValueError("tardiness formulation does not support release dates")
     n, m, T = instance.n, instance.speedset.m, grid.T
     jobs = instance.jobs
     speeds = np.array(instance.speedset.speeds)

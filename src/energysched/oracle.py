@@ -18,9 +18,9 @@ label or T_b - T_a > ``margin = 8 n eps U``, U a bound on every partial sum.
 Rounding is monotone, so b never ends below a; each of the n steps left
 narrows the gap by at most 2 ulp(U), so b can only tie a, and only within
 the margin.  The rule needs a cost to come that does not fall as C grows,
-so a negative weight is refused.  The least cost wins, ties to the smallest
-label: the enumeration's first order with the lowest value, and in it the
-lowest combination index.
+which the positive weights of every ``Instance`` give.  The least cost
+wins, ties to the smallest label: the enumeration's first order with the
+lowest value, and in it the lowest combination index.
 
 The program runs one popcount layer at a time.  Layer L holds the fronts of
 every precedence-closed S with L jobs (each S a bitmask, a "mask"), stored
@@ -136,9 +136,6 @@ def brute_force(instance: Instance, n_cap: int = DEFAULT_CAPS[0],
                 m_cap: int = DEFAULT_CAPS[1]) -> Schedule:
     """Exact optimum over all orders and grid-speed assignments, assembled."""
     check_size(instance, n_cap, m_cap)
-    for job in instance.jobs:
-        if job.weight < 0:
-            raise ValueError(f"job {job.id} has negative weight {job.weight}")
     n, m = instance.n, instance.speedset.m
     sigma = np.asarray(instance.speedset.speeds)
     rank = sorted(range(n), key=lambda k: instance.jobs[k].id)   # position -> job

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import energy as energy_mod
-from . import instance as instance_mod
 from . import evaluate, lp, oracle, rounding, timegrid
 from .instance import Instance, Objective
 
@@ -60,18 +59,12 @@ def run(instance: Instance, with_oracle: bool = False,
     ``with_oracle`` also runs ``oracle.brute_force`` under ``oracle_caps =
     (n_cap, m_cap)`` and adds the exact cost and the ratio to it to the report.
 
-    These are raised before the LP is built: ``ValueError`` when the instance
-    is invalid; for tardiness, ``AssumptionError`` when a job's energy cost
-    grows too fast and ``SpeedRangeError`` when the speed set cannot hold any
-    scaled-up speed; with the oracle, ``SizeCapError`` when the instance
-    exceeds ``oracle_caps``.
+    These are raised before the LP is built: for tardiness,
+    ``AssumptionError`` when a job's energy cost grows too fast and
+    ``SpeedRangeError`` when the speed set cannot hold any scaled-up speed;
+    with the oracle, ``SizeCapError`` when the instance exceeds
+    ``oracle_caps``.
     """
-    # a library caller's instance has not been through the parser: alpha at
-    # 0 or 1 divides by zero, and a grid too fine to build is refused
-    problems = instance_mod.validate(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
-
     # these checks fail fast: none depends on the LP solution
     tardy = instance.objective is Objective.TARDINESS
     if tardy:

@@ -179,7 +179,5 @@ def saias_t(instance: Instance, solution: LpSolution) -> evaluate.Schedule:
     """Weighted-tardiness rounding: scale target speeds up by gamma, round up."""
     if instance.objective is not Objective.TARDINESS:
         raise ValueError("saias_t requires the tardiness objective")
-    if instance.has_releases:
-        raise ValueError("saias_t does not support release dates")
     gamma, ss = tardiness_gamma(instance.epsilon, instance.alpha), instance.speedset
     return _round(instance, solution, lambda speed, _: round_speed_up(gamma * speed, ss))

@@ -1,4 +1,5 @@
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -22,6 +23,8 @@ from energysched import (
     save,
     validate,
 )
+from energysched import instance as instance_mod
+from energysched import pipeline
 from energysched.instance import from_dict, to_dict
 
 from helpers import reference_transitive_reduction
@@ -41,11 +44,11 @@ def test_minimal_instance_is_valid():
 
 
 def test_two_cycle_reported():
-    inst = minimal_instance(
-        jobs=(Job(1, 1, 1.0), Job(2, 1, 1.0)),
-        precedence=PrecedenceDag(((1, 2), (2, 1))),
-    )
-    assert any("cycle" in msg for msg in validate(inst))
+    with pytest.raises(ValueError, match="precedence graph has a cycle"):
+        minimal_instance(
+            jobs=(Job(1, 1, 1.0), Job(2, 1, 1.0)),
+            precedence=PrecedenceDag(((1, 2), (2, 1))),
+        )
 
 
 def test_transitive_reduction_drops_implied_and_repeated_edges():
@@ -107,21 +110,22 @@ def test_transitive_reduction_matches_the_reference_on_generated_dags(n, density
 
 
 def test_speed_spacing_violation():
-    inst = minimal_instance(speedset=SpeedSet((1.0, 4.0), 1.0))
-    assert any("spacing" in msg for msg in validate(inst))
+    with pytest.raises(ValueError, match=re.escape("speed spacing violated: 4.0 > (1+1.0)*1.0")):
+        minimal_instance(speedset=SpeedSet((1.0, 4.0), 1.0))
 
 
 def test_zero_weight_rejected():
-    inst = minimal_instance(jobs=(Job(1, 1, 0.0),))
-    assert any("weight" in msg for msg in validate(inst))
+    with pytest.raises(ValueError, match="job 1: weight must be positive, got 0.0"):
+        minimal_instance(jobs=(Job(1, 1, 0.0),))
 
 
 def test_tardiness_with_releases_rejected():
-    inst = minimal_instance(
-        jobs=(Job(1, 1, 1.0, release=2.0, deadline=5.0),),
-        objective=Objective.TARDINESS,
-    )
-    assert any("release" in msg for msg in validate(inst))
+    with pytest.raises(ValueError,
+                       match="tardiness objective requires all release dates to be 0"):
+        minimal_instance(
+            jobs=(Job(1, 1, 1.0, release=2.0, deadline=5.0),),
+            objective=Objective.TARDINESS,
+        )
 
 
 #: one invalid field per case, on an otherwise valid one-job instance
@@ -144,8 +148,48 @@ INVALID = {
 
 @pytest.mark.parametrize("message", INVALID)
 def test_validate_names_each_invalid_field(message):
-    report = validate(minimal_instance(**INVALID[message]))
-    assert any(msg.startswith(message) for msg in report), report
+    # the message opens one entry of the report: the first, or one after a "; "
+    with pytest.raises(ValueError, match=f"(^invalid instance: |; ){re.escape(message)}"):
+        minimal_instance(**INVALID[message])
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """The instances ``instance.validate`` is called on, in call order."""
+    seen = []
+
+    def spy(inst):
+        seen.append(inst)
+        return validate(inst)
+
+    monkeypatch.setattr(instance_mod, "validate", spy)
+    return seen
+
+
+#: each way an instance is built, from a generated instance saved at a path
+BUILDS = {
+    "Instance": lambda inst, path: Instance(inst.jobs, inst.speedset, inst.precedence),
+    "replace": lambda inst, path: dataclasses.replace(inst, epsilon=0.25),
+    "generate": lambda inst, path: generate(2, 5, 3),
+    "load": lambda inst, path: load(path),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_each_built_instance_is_validated_once(build, tmp_path, request):
+    inst, path = generate(1, 5, 3), tmp_path / "inst.json"
+    save(inst, path)
+    validated = request.getfixturevalue("validated")      # spies from here on
+    built = BUILDS[build](inst, path)
+    assert len(validated) == 1 and validated[0] is built
+
+
+@pytest.mark.parametrize("with_oracle", [False, True])
+def test_pipeline_run_validates_nothing(with_oracle, request):
+    inst = generate(1, 5, 3, GeneratorConfig(release_max=3.0))
+    validated = request.getfixturevalue("validated")      # spies from here on
+    pipeline.run(inst, with_oracle=with_oracle)
+    assert validated == []
 
 
 def test_roundtrip_identity(tmp_path):

@@ -320,12 +320,12 @@ def test_speed_codes_that_would_overflow_int64_are_refused(monkeypatch):
 
 def test_negative_weight_is_refused():
     # dominance at a smaller completion time needs a cost to come that does not
-    # fall as C grows; validate rejects such weights on every parsed instance
+    # fall as C grows; no instance with such a weight can be built
     inst = generate(3, 5, 3, GeneratorConfig(edge_density=0.2))
     jobs = list(inst.jobs)
     jobs[2] = dataclasses.replace(jobs[2], weight=-1.5)
-    with pytest.raises(ValueError, match=f"job {jobs[2].id} has negative weight -1.5"):
-        brute_force(dataclasses.replace(inst, jobs=tuple(jobs)))
+    with pytest.raises(ValueError, match=f"job {jobs[2].id}: weight must be positive, got -1.5"):
+        dataclasses.replace(inst, jobs=tuple(jobs))
 
 
 def test_pipeline_checks_oracle_caps_before_the_lp(monkeypatch):

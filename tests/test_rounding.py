@@ -1,6 +1,4 @@
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -306,10 +304,6 @@ def test_saias_requires_matching_objective():
     grid, sol = run_pipeline(inst)
     with pytest.raises(ValueError):
         saias(inst, sol)
-    released = dataclasses.replace(
-        inst, jobs=(dataclasses.replace(inst.jobs[0], release=1.0), *inst.jobs[1:]))
-    with pytest.raises(ValueError, match="saias_t does not support release dates"):
-        saias_t(released, sol)
     comp = generate(5, 2, 2, GeneratorConfig())
     grid, sol = run_pipeline(comp)
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from energysched import Instance, Job, SpeedSet, build_grid, timegrid
-from energysched.instance import GeneratorConfig, generate, validate
+from energysched.instance import GeneratorConfig, generate
 from helpers import interval_of
 
 
@@ -95,31 +95,24 @@ def test_accepted_grid_has_at_most_max_intervals(epsilon):
         cfg = GeneratorConfig(epsilon=epsilon, release_max=5.0 if seed % 2 else 0.0)
         inst = generate(seed, 1 + seed % 9, 1 + seed % 4, cfg)
         # a tenth of 0.05 puts some grids on each side of the limit
-        for case in (inst, dataclasses.replace(inst, epsilon=epsilon / 10)):
-            if validate(case) == []:
-                accepted += 1
-                assert build_grid(case).T <= timegrid.MAX_INTERVALS
-            else:
-                with pytest.raises(ValueError, match="use a larger epsilon"):
-                    build_grid(case)
+        for eps in (epsilon, epsilon / 10):
+            try:
+                case = dataclasses.replace(inst, epsilon=eps)
+            except ValueError as exc:
+                assert str(exc).endswith("use a larger epsilon"), exc
+                continue
+            accepted += 1
+            assert build_grid(case).T <= timegrid.MAX_INTERVALS
     assert accepted >= 20
 
 
 def test_build_grid_refuses_a_grid_too_fine_within_a_second():
     # 1 + 1e-17 rounds to 1, so the boundaries never grow and only the
-    # interval limit ends the loop
-    inst = make([Job(1, 1, 1.0), Job(2, 3, 1.0)], [1.0, 2.0], epsilon=1e-17)
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"epsilon = 1e-17 gives a time grid of more than "
-                                         r"1000 intervals; use a larger epsilon"):
-        build_grid(inst)
-    assert time.perf_counter() - start < 1.0
-
-
-def test_validate_rejects_a_grid_too_fine_to_build():
+    # interval limit ends the loop; validation reports the refusal alone
     coarse = make([Job(1, 1, 1.0), Job(2, 3, 1.0)], [1.0, 2.0], epsilon=0.5)
-    assert validate(coarse) == []
-    fine = dataclasses.replace(coarse, epsilon=1e-17)
-    assert validate(fine) == [
-        "epsilon = 1e-17 gives a time grid of more than 1000 intervals; use a larger epsilon"
-    ]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^invalid instance: epsilon = 1e-17 gives a time "
+                                         r"grid of more than 1000 intervals; use a larger "
+                                         r"epsilon$"):
+        dataclasses.replace(coarse, epsilon=1e-17)
+    assert time.perf_counter() - start < 1.0
