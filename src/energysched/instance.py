@@ -112,9 +112,9 @@ class PrecedenceDag:
 
 @dataclass(frozen=True)
 class Instance:
-    """One scheduling problem, valid by construction: building one runs :func:`validate`.
-    ``energy_costs``, ``due`` and ``grid`` are computed on first use from the
-    frozen fields, and kept for every later use."""
+    """One scheduling problem, valid by construction: building one runs :func:`validate`,
+    which builds ``grid`` and ``energy_costs``; ``due`` is computed on first use.
+    Each is computed from the frozen fields once, and kept for every later use."""
     jobs: tuple
     speedset: SpeedSet
     precedence: PrecedenceDag = PrecedenceDag()
@@ -136,15 +136,26 @@ class Instance:
     def energy_costs(self) -> np.ndarray:
         """Read-only (n, m) cost of running job i entirely at grid speed j.
 
-        Tabulated costs are read on their lower convex envelope.
+        Tabulated costs are read on their lower convex envelope.  Raises
+        ``ValueError`` naming the first job with a cost that is not finite.
         """
         speeds = self.speedset.speeds
+
+        def cost(job, s):
+            try:
+                return cost_at(job.energy, job.rho, s)
+            except OverflowError:               # s ** (beta - 1) past the float range
+                return math.inf
+
         costs = np.array([
             convexify(job.energy.costs, speeds)
             if isinstance(job.energy, TableEnergy)
-            else [cost_at(job.energy, job.rho, s) for s in speeds]
+            else [cost(job, s) for s in speeds]
             for job in self.jobs
         ], dtype=float)
+        for i in np.flatnonzero(~np.isfinite(costs).all(axis=1)):
+            raise ValueError(f"job {self.jobs[i].id}: energy costs at the grid speeds "
+                             f"must be finite, got {costs[i].tolist()}")
         costs.flags.writeable = False
         return costs
 
@@ -265,10 +276,11 @@ def validate(instance: Instance) -> list:
         report.append(f"beta must be >= 2, got {instance.beta}")
     if instance.objective is Objective.TARDINESS and any(j.release > 0 for j in instance.jobs):
         report.append("tardiness objective requires all release dates to be 0")
-    if not report:                  # the grid needs valid fields
-        try:
-            instance.grid           # kept for every later stage; a build that raises keeps nothing
-        except ValueError as exc:   # a grid too fine to build
+    if not report:                  # the grid and the energy costs need valid fields
+        try:                        # both kept for every later stage; a build that raises keeps nothing
+            instance.grid
+            instance.energy_costs
+        except ValueError as exc:   # a grid too fine to build, or a cost past the float range
             report.append(str(exc))
     return report
 

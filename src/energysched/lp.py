@@ -132,22 +132,16 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     first = job_free.argmax(axis=1) + 1     # first interval with an unpinned column
     pos = {job.id: i for i, job in enumerate(jobs)}
     edges = instance.precedence.transitive_reduction()
-    # prec row t of edge (a, b) holds pair[:, :t] flattened, with pair the
-    # (m, T, 2) stack of a's and b's columns.  For t = 1 .. T - 1 end to end,
-    # ``prefix`` lists those positions in pair.ravel(): row t's run starts at
-    # m t (t - 1), so one gather over the stacks of all edges fills every row
-    below = np.arange(T) < np.arange(1, T)[:, None]                # (T - 1, T): t' < t
-    _, j, tp, side = np.nonzero(np.broadcast_to(below[:, None, :, None], (T - 1, m, T, 2)))
-    prefix = (j * T + tp) * 2 + side
-    run = [slice(m * t * (t - 1), m * t * (t + 1)) for t in range(T)]
+    # prec row t of edge (a, b) is pair[:, :, :t] flattened, with pair the
+    # (m, T, 2) stack of a's and b's columns
     pair = np.stack([block[[pos[a] for a, _ in edges]], block[[pos[b] for _, b in edges]]],
                     axis=-1)
-    edge_cols = pair.reshape(len(edges), 2 * m * T)[:, prefix]
+    cols = [pair[:, :, :t].reshape(len(edges), 2 * m * t) for t in range(T)]
     signs = np.tile([1.0, -1.0], m * T)      # every prec row's values are a prefix of it
     signs.flags.writeable = False
     sign = [signs[: 2 * m * t] for t in range(T)]
-    for (a, b), cols in zip(edges, edge_cols):
-        rows += [Row._make(("prec", (a, b, t), cols[run[t]], sign[t], ">=", 0.0))
+    for e, (a, b) in enumerate(edges):
+        rows += [Row._make(("prec", (a, b, t), cols[t][e], sign[t], ">=", 0.0))
                  for t in range(first[pos[b]], T)]
 
     return LpModel(instance, grid, obj, upper, tuple(rows))

@@ -40,6 +40,8 @@ provably optimal, which the tests verify exhaustively.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .evaluate import Schedule, assemble
@@ -59,18 +61,10 @@ class SizeCapError(ValueError):
 
 
 def _feasible_permutations(ids, precedence):
-    """Generate precedence-feasible permutations, pruning during generation."""
-    preds = {i: set(precedence.predecessors(i)) for i in ids}
-
-    def rec(placed):
-        rest = sorted(set(ids) - set(placed))
-        if not rest:
-            yield placed
-        for i in rest:
-            if preds[i].issubset(placed):
-                yield from rec(placed + (i,))
-
-    return rec(())
+    """The orders of ``ids`` that put every edge's predecessor first, in
+    lexicographic order."""
+    return (order for order in itertools.permutations(sorted(ids))
+            if all(order.index(a) < order.index(b) for a, b in precedence.edges))
 
 
 def check_size(instance: Instance, n_cap: int, m_cap: int) -> None:

@@ -67,7 +67,8 @@ def compute_alpha_data(solution: LpSolution, instance: Instance, alpha: float) -
     x = solution.x
     n, _, T = x.shape
     cum = x.sum(axis=1).cumsum(axis=1)                     # (n, T)
-    reached = cum >= alpha - MASS_TOL
+    # at alpha <= MASS_TOL an empty prefix is within tolerance, so mass is required too
+    reached = (cum >= alpha - MASS_TOL) & (cum > 0)
     for i in np.flatnonzero(~reached.any(axis=1)):
         raise RuntimeError(f"job at position {i} has total LP mass {cum[i, -1]} < alpha={alpha}")
     taus = reached.argmax(axis=1)                          # zero-based alpha interval

@@ -76,6 +76,9 @@ the structurals first, then the slacks in row order, then the placeholder.
 The tolerances are module constants: :data:`FEASIBILITY_TOL`, times
 ``max(1, max|b|)``, for the start's bounds; the absolute :data:`OPTIMALITY_TOL`
 for reduced costs, and :data:`PIVOT_TOL` and :data:`TIE_TOL` for the ratio test.
+Because they are absolute, each row whose largest |entry| exceeds
+:data:`ROW_SCALE_MAX` is divided, with its right-hand side, by that entry
+before the solve, on a copy; x and the objective are those of the LP as given.
 
 The entry point :func:`solve` takes the problem in row form
 
@@ -104,6 +107,9 @@ FEASIBILITY_TOL = 1e-9
 
 #: a column enters only when its reduced cost improves by more than this
 OPTIMALITY_TOL = 1e-9
+
+#: a row whose largest |entry| exceeds this is solved divided by that entry
+ROW_SCALE_MAX = 1e4
 
 
 class SimplexError(RuntimeError):
@@ -145,6 +151,13 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     nrows, ncols = A.shape
+    # sum(a^2) bounds every a^2 and takes one BLAS pass, cheaper than A.max()
+    # and A.min() on solve-mid; vdot gives inf on overflow, with no warning
+    flat = A.ravel()
+    if np.vdot(flat, flat) > ROW_SCALE_MAX ** 2:
+        scale = np.abs(A).max(axis=1)
+        scale[scale <= ROW_SCALE_MAX] = 1.0
+        A, b = A / scale[:, None], b / scale
     if lower is not None and np.any(np.asarray(lower, dtype=float) != 0.0):
         raise ValueError("every lower bound must be 0")
     upper = np.full(ncols, np.inf) if upper is None else np.asarray(upper, dtype=float)

@@ -255,8 +255,9 @@ def test_bench_oracle_fails_only_the_oversize_rows(capsys):
 def test_oracle_caps_exit_code(n, m, tmp_path, capsys, monkeypatch):
     path = tmp_path / "inst.json"
     save(generate(0, n, m, GeneratorConfig()), path)
-    monkeypatch.setattr(Instance, "energy_costs",
-                        property(lambda self: pytest.fail("the search read the energy costs")))
+    # validation builds the energy costs; the search reads the due dates next
+    monkeypatch.setattr(Instance, "due",
+                        property(lambda self: pytest.fail("the search read the due dates")))
     rc, out, err = run_cli(capsys, "oracle", str(path))
     assert rc == 2 and out == ""
     assert f"n={n}, m={m} exceeds caps ({N_CAP}, {M_CAP})" in err
@@ -265,8 +266,9 @@ def test_oracle_caps_exit_code(n, m, tmp_path, capsys, monkeypatch):
 def test_oracle_order_code_overflow_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "inst.json"
     save(generate(0, 16, 2, GeneratorConfig()), path)     # 2**16 combinations fit
-    monkeypatch.setattr(Instance, "energy_costs",
-                        property(lambda self: pytest.fail("the search read the energy costs")))
+    # validation builds the energy costs; the search reads the due dates next
+    monkeypatch.setattr(Instance, "due",
+                        property(lambda self: pytest.fail("the search read the due dates")))
     rc, _, err = run_cli(capsys, "oracle", str(path), "--n-cap", "20")
     assert rc == 2
     assert "overflow int64" in err
@@ -522,6 +524,45 @@ def test_non_finite_input_exits_2_naming_the_field(field, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error:")
     assert f"{field} must be finite" in err or f"{field} must lie in" in err
+
+
+#: a finite energy field of job 3 in ``generate(2, 3, 2)``, and the job's costs
+#: at the grid speeds 1 and 1.63 then: 1.63 ** (1e9 - 1) overflows, and
+#: v * rho = 3e308 is inf
+OVERFLOWING_ENERGY = {
+    "beta 1e9": ("beta", 1e9, "[1.6146657961796587, inf]"),
+    "v 1e308": ("v", 1e308, "[inf, inf]"),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_ENERGY)
+def test_energy_costs_past_the_float_range_exit_2_naming_the_job(case, tmp_path, capsys,
+                                                                  monkeypatch):
+    field, value, costs = OVERFLOWING_ENERGY[case]
+    data = to_dict(generate(2, 3, 2))
+    data["jobs"][2]["energy"][field] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(lp, "build_lp", _unreachable)
+    rc, out, err = run_cli(capsys, "solve", str(path), "--oracle")
+    assert (rc, out) == (2, "")
+    assert err == ("error: invalid instance: job 3: energy costs at the grid speeds "
+                   f"must be finite, got {costs}\n")
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 1e-10, 1e-300])
+def test_tiny_alpha_solves_within_the_bound(alpha, tmp_path, capsys):
+    # at alpha <= the rounding's mass tolerance, an interval with no mass once
+    # counted as the alpha interval, and its speed divided by zero
+    data = to_dict(generate(2, 3, 2))
+    data["alpha"] = alpha
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "solve", str(path), "--oracle")
+    assert (rc, err) == (0, "")
+    report = json.loads(out)["report"]
+    assert report["alpha"] == alpha
+    assert 1.0 <= report["ratio_vs_oracle"] <= report["theoretical_bound"]
 
 
 def _unreachable(*args, **kwargs):

@@ -242,27 +242,50 @@ def test_long_processing_times_pass_the_relative_residual_check():
 
 
 @pytest.mark.parametrize("seed, factor", [(0, 10**9), (0, 10**10), (0, 10**12),
-                                          (4, 10**8), (4, 10**10)])
+                                          (4, 10**8), (4, 10**10),
+                                          (7, 10**10), (9, 10**11), (5, 10**11)])
 def test_rho_scaled_lps_solve_to_the_highs_optimum(seed, factor):
     # the simplex tolerances are absolute; at seed 0 times 1e10 an earlier
-    # simplex called a point with a capacity row broken by 0.08 "optimal"
+    # simplex called a point with a capacity row broken by 0.08 "optimal".
+    # Without row scaling, seed 7 times 1e10 ends "unbounded", seed 9 times
+    # 1e11 comes back "optimal" 2.6e-4 below the optimum, and seed 5 times
+    # 1e11 fails the residual check
     inst = _rho_scaled(seed, factor)
     model = build_lp(inst, inst.grid)
     assert solve_lp(model).objective == pytest.approx(highs_objective(model), rel=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="absolute simplex tolerances: reduced-cost noise of "
-                                       "about 1e-5 against the 1e-9 optimality tolerance")
+def _solve_from_the_list_start(model):
+    """``simplex.solve`` from ``start_basis`` stopped at 5,000 iterations."""
+    A, senses, b = constraint_arrays(model)
+    return es.simplex.solve(model.objective, A, senses, b, upper=model.upper,
+                            start=start_basis(model),
+                            config=es.simplex.SolverConfig(max_iterations=5000))
+
+
 def test_rho_scaled_lp_solves_from_the_list_start():
-    # solve_lp spends its 1,000,000 iterations here (about 30 s on one core),
-    # so the test stops at 5,000; dividing c by max|c| alone reaches the
-    # optimum, 118497623318.86765, in 19 pivots
+    # without row scaling, reduced-cost noise of about 1e-5 against the 1e-9
+    # optimality tolerance kept solve_lp pivoting for its 1,000,000
+    # iterations (about 30 s on one core)
     inst = _rho_scaled(4, 10**9)
     model = build_lp(inst, inst.grid)
-    A, senses, b = constraint_arrays(model)
-    result = es.simplex.solve(model.objective, A, senses, b, upper=model.upper,
-                              start=start_basis(model),
-                              config=es.simplex.SolverConfig(max_iterations=5000))
+    result = _solve_from_the_list_start(model)
+    assert result.status == "optimal"
+    assert result.objective == pytest.approx(highs_objective(model), rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="no cost scaling: the LP with a cost of about 3e9 "
+                                       "among costs of about 1 ends in iteration_limit")
+def test_large_energy_coefficient_lp_solves_from_the_list_start():
+    # job 3's energy v = 1e9.  Dividing c by max|c| would solve it, but to
+    # 3000000020.829026, 1.2e-9 relative above the optimum: a bound that is
+    # not a lower bound
+    base = generate(2, 3, 2)
+    jobs = tuple(dataclasses.replace(j, energy=PolynomialEnergy(1e9, 2.0)) if j.id == 3 else j
+                 for j in base.jobs)
+    inst = dataclasses.replace(base, jobs=jobs)
+    model = build_lp(inst, inst.grid)
+    result = _solve_from_the_list_start(model)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(highs_objective(model), rel=1e-9)
 

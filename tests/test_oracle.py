@@ -52,6 +52,9 @@ def test_precedence_prunes_permutations():
     perms = list(_feasible_permutations([1, 2, 3], PrecedenceDag(((1, 2),))))
     assert all(p.index(1) < p.index(2) for p in perms)
     assert len(perms) == 3
+    # in lexicographic order of the sorted ids, which the reference's tie rule reads
+    assert list(_feasible_permutations([3, 1, 2], PrecedenceDag(((3, 1),)))) == [
+        (2, 3, 1), (3, 1, 2), (3, 2, 1)]
 
 
 def test_brute_force_respects_edges():
@@ -312,10 +315,11 @@ def test_order_codes_that_would_overflow_int64_are_refused(monkeypatch):
 
 def test_speed_codes_that_would_overflow_int64_are_refused(monkeypatch):
     inst = generate(0, 15, 19, GeneratorConfig())           # 19**15 > 2**63
+    fits = generate(0, 15, 18, GeneratorConfig())           # 18**15 < 2**63
     monkeypatch.setattr(Instance, "energy_costs", property(_no_search))
     with pytest.raises(SizeCapError, match="overflow int64"):
         brute_force(inst, n_cap=15, m_cap=19)
-    oracle.check_size(generate(0, 15, 18, GeneratorConfig()), 15, 18)   # 18**15 < 2**63
+    oracle.check_size(fits, 15, 18)
 
 
 def test_negative_weight_is_refused():

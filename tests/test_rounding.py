@@ -53,6 +53,16 @@ def test_alpha_interval_monotone_in_alpha():
         assert alpha_data(w, 0.2)[0].interval <= alpha_data(w, 0.9)[0].interval
 
 
+@pytest.mark.parametrize("alpha", [1e-9, 1e-10, 1e-300])
+def test_tiny_alpha_takes_the_first_interval_with_mass(alpha):
+    # at alpha <= MASS_TOL the empty interval 1 lies within tolerance of alpha;
+    # taking it left no mass to average the speed over
+    d = alpha_data([[[0.0, 0.0, 0.6], [0.0, 0.4, 0.0]]], alpha, speeds=(1.0, 2.0))[0]
+    assert d.interval == 2
+    assert d.mu.tolist() == [0.0, 1.0]
+    assert d.speed == 2.0
+
+
 def test_truncate_splits_final_interval_by_speed_order():
     # mass before = 0.3; final interval speeds hold (0.1, 0.4); alpha = 0.5
     d = alpha_data([[[0.3, 0.1], [0.0, 0.4]]], 0.5)[0]

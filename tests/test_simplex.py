@@ -306,9 +306,18 @@ def test_solve_leaves_its_inputs_unchanged():
     model = _pipeline_model(1, 10, 3, GeneratorConfig(edge_density=0.3))
     A, senses, b = lp.constraint_arrays(model)
     c, upper, start = model.objective, model.upper, lp.start_basis(model)
-    inputs = (c, A, b, upper, start)
-    copies = [array.copy() for array in inputs]
-    res = solve(c, A, senses, b, upper=upper, start=start)
-    assert res.status == "optimal" and res.iterations > 0
-    for array, copy in zip(inputs, copies):
-        assert np.array_equal(array, copy)
+    # the last row, a precedence row of entries +-1, times 1e6: the solve
+    # divides it back by 1e6, on a copy, and so takes the unscaled LP's pivots
+    big_A, big_b = A.copy(), b.copy()
+    big_A[-1] *= 1e6
+    big_b[-1] *= 1e6
+    assert np.abs(big_A).max() > simplex.ROW_SCALE_MAX
+    results = []
+    for A_, b_ in ((A, b), (big_A, big_b)):
+        inputs = (c, A_, b_, upper, start)
+        copies = [array.copy() for array in inputs]
+        results.append(solve(c, A_, senses, b_, upper=upper, start=start))
+        assert results[-1].status == "optimal" and results[-1].iterations > 0
+        for array, copy in zip(inputs, copies):
+            assert np.array_equal(array, copy)
+    assert np.array_equal(results[0].x, results[1].x)
