@@ -25,7 +25,7 @@ from .instance import GeneratorConfig, Objective
 #: ``energysched perf`` solves ``generate(seed, n, 3)`` at every one of these
 #: seeds and sizes
 PERF_SEEDS = (1, 2, 3)
-PERF_SIZES = (5, 10, 15, 20, 30, 40)
+PERF_SIZES = (5, 10, 15, 20, 30, 40, 60, 80)
 
 
 def _emit(data: dict, pretty: bool) -> None:

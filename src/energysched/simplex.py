@@ -20,25 +20,25 @@ logical part in the same way).  With ``D^-1 = D``:
 
 * FTRAN of a column a: ``w_J = B11^-1 a_K``, then ``w_L = D (a_L - A[L, J] w_J)``;
 * BTRAN of costs c: ``y_K = c_J B11^-1`` and ``y_L = 0``, as slacks cost
-  nothing.
+  nothing, so pricing needs only ``A^T y = A[K]^T y_K``, the kernel rows
+  ``AK`` (Maros, 2003, *Computational Techniques of the Simplex Method*, ch. 9).
 
 On the pipeline LPs most basics are slacks, so k is a fraction of the row
 count r: over the 48 LPs of the benchmark's solve-mid list at seed 11, k
 peaks at 41 on average, on 135 rows on average; at n = 40 jobs it peaks at
-363 of 1025.  Work per pivot is O(k^2 + r k) plus pricing, against O(r^2)
-for an explicit B^-1.
+363 of 1025.  Work per pivot is O(k^2 + r k) plus O(k ncols) for pricing,
+against O(r^2 + r ncols) with an explicit B^-1.
 
 The basic variables are kept by slot, a row or a kernel position: x_B,
 each basic's upper bound and its column sit in preallocated per-slot
 arrays, so the ratio test and the primal update are a fixed run of in-place
 numpy calls over every slot, with no gather through the basic columns (the
-bounded ratio test of Maros, 2003, *Computational Techniques of the Simplex
-Method*, ch. 9).  The primal update is skipped on a zero step, and x over
-the structurals is built only by a rebuild and at exit.  At the solve-mid
-sizes (k about 40, r about 130) a numpy call costs more in call overhead
-than in arithmetic, so the few dozen calls a pivot makes, not the O(.)
-term, set its time; from about n = 20 jobs on, the arithmetic of pricing
-and of the kernel updates takes over.
+bounded ratio test of Maros, ch. 9).  The primal update is skipped on a zero
+step, and x over the structurals is built only by a rebuild and at exit.
+At the solve-mid sizes (k about 40, r about 130) a numpy call costs more in
+call overhead than in arithmetic, so the few dozen calls a pivot makes, not
+the O(.) term, set its time; from about n = 20 jobs on, the arithmetic of
+pricing and of the kernel updates takes over.
 
 **Basis changes.**  Each is one of four cases, all O(k^2 + r):
 
@@ -66,19 +66,20 @@ start every row starts on its slack, which needs every row to be an
 inequality whose slack is feasible at zero.  ``lp.solve_lp``
 starts at the vertex of a list schedule (the ``lp.py`` docstring gives why
 it is one).  A kernel row has no basic slack; its slot names one
-placeholder column, fixed at zero, that is never priced.
+placeholder column, fixed at zero, that never enters.
 
 Nonbasic variables rest at either bound; the ratio test allows bound flips.
 Pricing is largest-reduced-cost with lowest-index tie-breaks, falling back to
 Bland's rule once a run of degenerate pivots is detected, so every solve is
-deterministic and terminates.  Column indices, for the tie-breaks, number
-the structurals first, then the slacks in row order, then the placeholder.
-The tolerances are module constants: :data:`FEASIBILITY_TOL`, times
-``max(1, max|b|)``, for the start's bounds; the absolute :data:`OPTIMALITY_TOL`
-for reduced costs, and :data:`PIVOT_TOL` and :data:`TIE_TOL` for the ratio test.
-Because they are absolute, each row whose largest |entry| exceeds
-:data:`ROW_SCALE_MAX` is divided, with its right-hand side, by that entry
-before the solve, on a copy; x and the objective are those of the LP as given.
+deterministic and terminates.  Column indices, for pricing and its
+tie-breaks, number the structurals first, then the slacks in row order, then
+the placeholder.  The tolerances are module constants: :data:`FEASIBILITY_TOL`,
+times ``max(1, max|b|)``, for the start's bounds; :data:`PIVOT_TOL`, times
+``max(1, max|w|)``, for pivots; the absolute :data:`OPTIMALITY_TOL` for
+reduced costs and :data:`TIE_TOL` for steps.  Because those two are absolute,
+each row whose largest |entry| exceeds :data:`ROW_SCALE_MAX` is divided, with
+its right-hand side, by that entry before the solve, on a copy; x and the
+objective are those of the LP as given.
 
 The entry point :func:`solve` takes the problem in row form
 
@@ -96,7 +97,7 @@ import numpy as np
 #: basis changes between rebuilds of B11^-1 and x from scratch
 REFACTOR_EVERY = 64
 
-#: smallest |entry| of the entering column accepted as a pivot
+#: smallest |entry| / max(1, max|entry|) of the entering column taken as a pivot
 PIVOT_TOL = 1e-10
 
 #: step lengths within this distance count as ties in the ratio test
@@ -216,7 +217,8 @@ class _Kernel:
     position p (slot r + p).  Position p pairs structural column ``cols[p]``
     (of J) with row ``rows[p]`` (of K); ``inv`` is B11^-1, a k x k array,
     new whenever k changes, with its rows indexed by column position and
-    its columns by row position, and ``AJt[p]`` is ``A[:, cols[p]]``.
+    its columns by row position; ``AJt[p]`` is ``A[:, cols[p]]`` and
+    ``AK[p]`` is ``A[rows[p]]``, the row that pricing multiplies by ``yK[p]``.
     ``logical[i]`` is the slack basic on row i and ``dsign[i]`` its sign; on
     a kernel row dsign is 0 and ``logical`` names the placeholder column,
     nonbasic and fixed at zero.  Slack ``ncols + l`` sits on row ``lrow[l]``
@@ -239,6 +241,7 @@ class _Kernel:
         self.lsign = row_sign[self.lrow]
         self.placeholder = ncols + len(self.lrow)
         self.AJt = np.empty((cap, nrows))
+        self.AK = np.empty((cap, ncols))
         self.rows = np.empty(cap, dtype=np.intp)
         self.kpos = np.full(nrows, -1)
         self.dsign = row_sign.copy()
@@ -262,6 +265,7 @@ class _Kernel:
         self.cols[:k], self.rows[:k] = cols, rows
         self.kpos[rows] = np.arange(k)
         self.AJt[:k] = A[:, cols].T
+        self.AK[:k] = A[rows]
         self.dsign[rows] = 0.0
         self.logical[rows] = self.placeholder
         self.cB[:k] = c[cols]
@@ -293,14 +297,15 @@ class _Kernel:
         """The slot whose basic first hits a bound as the entering column moves
         by ``sign`` (x_B falls by ``sign * w`` per unit), and the step.
 
-        Only slots with |w| above PIVOT_TOL take part: the others get an
+        Only slots with |w| above PIVOT_TOL times max(1, max|w|) take part,
+        so rounding noise in a long column is no pivot; the others get an
         infinite step.  Among steps within TIE_TOL of the shortest, the lowest
         column index leaves.  Returns ``(-1, inf)`` when no basic limits the
         step.
         """
         w, xB, absw, play, num, ratio = self.w, self.xB, self.absw, self.play, self.num, self.ratio
         np.abs(w, out=absw)
-        np.greater(absw, PIVOT_TOL, out=play)
+        np.greater(absw, PIVOT_TOL * max(1.0, absw.max()), out=play)
         (np.greater if sign > 0 else np.less)(w, 0.0, out=self.up)   # falls to 0
         np.subtract(self.hiB, xB, out=num)
         np.copyto(num, xB, where=self.up)
@@ -348,6 +353,7 @@ class _Kernel:
             if pi != last:
                 inv[:last, pi] = inv[:last, last]
                 self.rows[pi] = self.rows[last]
+                self.AK[pi] = self.AK[last]
                 self.kpos[self.rows[pi]] = pi
             self.inv = inv[:last, :last].copy()
             self.k = last
@@ -365,7 +371,7 @@ class _Kernel:
             grown[k, k] = 1.0 / s
             self.cols[k], self.rows[k], self.kpos[l], self.cB[k] = q, l, k, self.c[q]
             self.xB[r + k], self.hiB[r + k] = xq, self.hi[q]
-            self.AJt[k] = a
+            self.AJt[k], self.AK[k] = a, self.A[l]
             self._leave_slack(l)
             self.k = k + 1
             self.kmax = max(self.kmax, k + 1)
@@ -376,6 +382,7 @@ class _Kernel:
             inv -= np.multiply.outer(col, z)
             inv[:, pi] = col
             self.rows[pi], self.kpos[l], self.kpos[i] = l, pi, -1
+            self.AK[pi] = self.A[l]
             self._leave_slack(l)
             self._enter_slack(i, q, qsign, xq)
 
@@ -414,29 +421,21 @@ def _iterate(kernel: _Kernel, b, at_upper, cfg: SolverConfig, work: dict):
 
     The kernel's x_B enters as the point of the basis; it, ``at_upper`` and
     the kernel are updated in place, and ``work`` counts bound flips,
-    degenerate pivots and whether Bland's rule took over.
+    degenerate pivots and whether Bland's rule took over.  Pricing costs
+    O(k ncols): the structurals' reduced costs are ``c - y_K AK``.
     """
     nrows, ncols, hi = kernel.nrows, kernel.ncols, kernel.hi
     tol = OPTIMALITY_TOL
     degen_run = 0
     bland = False
-    # only columns that can move are priced: fixed ones never enter.  They
-    # are the free structurals, then every slack (the placeholder is fixed)
-    cols = (hi > PIVOT_TOL).nonzero()[0]
-    ns = len(cols) - len(kernel.lrow)               # cols[:ns] are structurals
-    At = kernel.A.T[cols[:ns]]                      # contiguous: one row per column
-    lrow, lsign = kernel.lrow, kernel.lsign
-    cost_cols = np.zeros(len(cols))
-    cost_cols[:ns] = kernel.c[cols[:ns]]
-    position = np.full(len(hi), -1)         # of each column in cols
-    position[cols] = np.arange(len(cols))
-    # +1 at lower, -1 at upper, 0 when basic: the eligible columns are those
-    # with direction * d < -tol, and the most negative has the largest |d|
-    basic = np.zeros(len(hi), dtype=bool)
-    basic[kernel.basic[:nrows + kernel.k]] = True
-    direction = np.where(basic[cols], 0.0, np.where(at_upper[cols], -1.0, 1.0))
-    score = np.empty(len(cols))
-    score_s, score_l = score[:ns], score[ns:]
+    lrow, slack_cost = kernel.lrow, -kernel.lsign
+    # +1 at lower, -1 at upper, 0 when basic or fixed: the eligible columns are
+    # those with direction * d < -tol, and the most negative has the largest |d|
+    direction = np.where(at_upper, -1.0, 1.0)
+    direction[hi <= PIVOT_TOL] = 0.0
+    direction[kernel.basic[:nrows + kernel.k]] = 0.0
+    score = np.zeros(len(hi))
+    score_s, score_l = score[:ncols], score[ncols:kernel.placeholder]
     unit = np.zeros(nrows)                  # the column of an entering slack
     since_refactor = 0
 
@@ -445,24 +444,23 @@ def _iterate(kernel: _Kernel, b, at_upper, cfg: SolverConfig, work: dict):
             _factor(kernel, b, at_upper)
             since_refactor = 0
 
-        y = kernel.btran()
-        np.matmul(At, y, out=score_s)
-        np.multiply(lsign, y[lrow], out=score_l)
-        np.subtract(cost_cols, score, out=score)   # the reduced costs
+        y, k = kernel.btran(), kernel.k
+        np.matmul(kernel.yK[:k], kernel.AK[:k], out=score_s)   # y is zero off the kernel rows
+        np.subtract(kernel.c, score_s, out=score_s)             # the reduced costs
+        np.multiply(slack_cost, y[lrow], out=score_l)
         score *= direction
-        j = int((score < -tol).argmax()) if bland else int(score.argmin())
-        if not score[j] < -tol:
+        q = int((score < -tol).argmax()) if bland else int(score.argmin())
+        if not score[q] < -tol:
             return "optimal", it
-        q = int(cols[j])
-        sign = float(direction[j])           # entering moves up from lower / down from upper
-        if j < ns:
-            a = At[j]
+        sign = float(direction[q])           # entering moves up from lower / down from upper
+        if q < ncols:
+            a = kernel.A[:, q]
             kernel.ftran(a)
         else:                                # a slack's change needs no column
             a = unit
-            unit[lrow[j - ns]] = lsign[j - ns]
+            unit[lrow[q - ncols]] = kernel.lsign[q - ncols]
             kernel.ftran(a)
-            unit[lrow[j - ns]] = 0.0
+            unit[lrow[q - ncols]] = 0.0
 
         slot, t_best = kernel.ratio_test(sign)   # slot -1: bound flip of the entering column
         if hi[q] < t_best - TIE_TOL:
@@ -479,7 +477,7 @@ def _iterate(kernel: _Kernel, b, at_upper, cfg: SolverConfig, work: dict):
             kernel.step(t_best * sign)
         if slot == -1:
             at_upper[q] = ~at_upper[q]
-            direction[j] = -direction[j]
+            direction[q] = -direction[q]
             work["bound_flips"] += 1
             continue
         if t_best <= TIE_TOL:
@@ -489,9 +487,9 @@ def _iterate(kernel: _Kernel, b, at_upper, cfg: SolverConfig, work: dict):
         # leaving variable parks at whichever of its bounds the ratio test hit
         at_upper[bl] = sign * kernel.w[slot] < 0
         at_upper[q] = False
-        direction[j] = 0.0
-        if position[bl] >= 0:
-            direction[position[bl]] = -1.0 if at_upper[bl] else 1.0
+        direction[q] = 0.0
+        if hi[bl] > PIVOT_TOL:
+            direction[bl] = -1.0 if at_upper[bl] else 1.0
         kernel.change(slot, q, a, xq)
         since_refactor += 1
 

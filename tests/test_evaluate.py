@@ -134,11 +134,12 @@ def test_algorithm_outputs_always_pass_checker():
     (GeneratorConfig(objective=Objective.TARDINESS, delta=3.0), 6),
 ], ids=["completion", "releases", "table", "tardiness"])
 def test_paper_bounds_hold_at_n40(config, m):
-    inst = generate(1, 40, m, config)
-    res = es.run(inst)
-    assert res.report["ratio_vs_lp"] <= res.report["theoretical_bound"]
-    assert check_feasible(inst, res.schedule) == []
-    assert np.abs(res.solution.x.sum(axis=(1, 2)) - 1.0).max() < 1e-9
+    for seed in (1, 2):                      # fixed in advance
+        inst = generate(seed, 40, m, config)
+        res = es.run(inst)
+        assert res.report["ratio_vs_lp"] <= res.report["theoretical_bound"]
+        assert check_feasible(inst, res.schedule) == []
+        assert np.abs(res.solution.x.sum(axis=(1, 2)) - 1.0).max() < 1e-9
 
 
 def test_oracle_cost_matches_shared_evaluator_bit_for_bit():

@@ -290,6 +290,19 @@ def test_large_energy_coefficient_lp_solves_from_the_list_start():
     assert result.objective == pytest.approx(highs_objective(model), rel=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="absolute optimality tolerance against costs of 1e12 "
+                                       "to 8e13: the LP ends in iteration_limit")
+def test_rho_scaled_seed_15_lp_solves_from_the_list_start():
+    # one of the three LPs of the rho-scaling probe (seeds 0-19, rho times
+    # 1e8 ... 1e12) that stall with kernel-row pricing; it makes no
+    # degenerate pivot in 5,000, so Bland's rule never takes over
+    inst = _rho_scaled(15, 10**12)
+    model = build_lp(inst, inst.grid)
+    result = _solve_from_the_list_start(model)
+    assert result.status == "optimal"
+    assert result.objective == pytest.approx(highs_objective(model), rel=1e-9)
+
+
 def _shift_job_1(result, b):
     """Take 1.5e-7 of job 1's mass off its largest column: more than the
     mass check allows, less than the residual limit on these right-hand sides."""

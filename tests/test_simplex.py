@@ -221,13 +221,16 @@ def _kernel_drift(kernel):
 
 
 def _spy_on_basis_changes(monkeypatch):
-    """Record (case, drift after the change) of every basis change."""
+    """Record (case, drift after the change) of every basis change, and check
+    that the pricing rows ``AK`` still hold the kernel rows of A in order."""
     seen, change = [], simplex._Kernel.change
 
     def spy_change(kernel, slot, q, *args):
         entering = "structural" if q < kernel.ncols else "logical"
         leaving = "structural" if slot >= kernel.nrows else "logical"
         change(kernel, slot, q, *args)
+        k = kernel.k
+        assert np.array_equal(kernel.AK[:k], kernel.A[kernel.rows[:k]])
         seen.append((f"{entering} for {leaving}", _kernel_drift(kernel)))
 
     monkeypatch.setattr(simplex._Kernel, "change", spy_change)
