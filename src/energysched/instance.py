@@ -86,9 +86,6 @@ class PrecedenceDag:
 
     edges: tuple = ()
 
-    def predecessors(self, job_id: int):
-        return [a for a, b in self.edges if b == job_id]
-
     def transitive_reduction(self) -> tuple:
         """The edges that no path of two or more other edges implies.
 

@@ -31,10 +31,17 @@ feasible region is that of the row for every edge and every t:
 
 Rounding and evaluation still enforce the full edge set.
 
-:func:`solve_lp` starts the simplex at the vertex of a greedy list schedule
-(:func:`start_basis`): job i runs at a grid speed with load ``p_i``, completes
-at ``C_i``, and sits at ``x_{i,j_i,t_i} = 1`` with t_i the first interval whose
-end is at least C_i (capped at T).  That point is feasible:
+``build_lp`` also finds the vertex of a greedy list schedule, kept as
+``LpModel.start``, and :func:`solve_lp` starts the simplex there.  Job i runs
+at the speed index j_i minimising its energy plus the total weight times its
+load ``p_i = rho_i / sigma_{j_i}``.  The jobs run back to back: of the jobs
+whose predecessors are all placed, completion-time LPs take the largest
+``w_i / p_i`` next (Smith's rule), tardiness LPs the earliest deadline, ties
+to the lowest position.  The order reads the reduced edges, whose transitive
+closure is the full set's, so the same jobs are ready at every step.  Job i
+starts at ``max(r_i, previous completion)``, completes at ``C_i``, and sits at
+``x_{i,j_i,t_i} = 1`` with t_i the first interval whose end is at least C_i
+(capped at T).  That point is feasible:
 
 * the jobs with t_i <= t complete by ``tau_t`` and run one after another
   from time 0 on, so their loads sum to at most ``tau_t``: capacity row t holds;
@@ -45,8 +52,7 @@ end is at least C_i (capped at T).  That point is feasible:
   reached only up to rounding.
 
 Its basis, the start column on each assign row and the slack on every other
-row, is triangular and so non-singular; the point is therefore a vertex, and
-the simplex starts there.
+row, is triangular and so non-singular; the point is therefore a vertex.
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ class LpModel:
     objective: np.ndarray    # (ncols,)
     upper: np.ndarray        # 1.0, or 0.0 for pinned columns
     rows: tuple
+    start: np.ndarray        # (n,) the list-schedule column of each job, basic on its assign row
 
     @property
     def ncols(self) -> int:
@@ -102,7 +109,7 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     jobs = instance.jobs
     speeds = np.array(instance.speedset.speeds)
     rho = np.array([job.rho for job in jobs], dtype=float)
-    weight = np.array([job.weight for job in jobs])
+    weight = np.array([job.weight for job in jobs], dtype=float)
     release = np.array([job.release for job in jobs])
     tau = np.array(grid.tau)
 
@@ -132,19 +139,30 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     first = job_free.argmax(axis=1) + 1     # first interval with an unpinned column
     pos = {job.id: i for i, job in enumerate(jobs)}
     edges = instance.precedence.transitive_reduction()
+    src, dst = [pos[a] for a, _ in edges], [pos[b] for _, b in edges]
     # prec row t of edge (a, b) is pair[:, :, :t] flattened, with pair the
     # (m, T, 2) stack of a's and b's columns
-    pair = np.stack([block[[pos[a] for a, _ in edges]], block[[pos[b] for _, b in edges]]],
-                    axis=-1)
+    pair = np.stack([block[src], block[dst]], axis=-1)
     cols = [pair[:, :, :t].reshape(len(edges), 2 * m * t) for t in range(T)]
     signs = np.tile([1.0, -1.0], m * T)      # every prec row's values are a prefix of it
     signs.flags.writeable = False
     sign = [signs[: 2 * m * t] for t in range(T)]
     for e, (a, b) in enumerate(edges):
         rows += [Row._make(("prec", (a, b, t), cols[t][e], sign[t], ">=", 0.0))
-                 for t in range(first[pos[b]], T)]
+                 for t in range(first[dst[e]], T)]
 
-    return LpModel(instance, grid, obj, upper, tuple(rows))
+    # the list schedule's vertex (module docstring)
+    speed = np.argmin(instance.energy_costs + weight.sum() * load, axis=1)
+    p = load[np.arange(n), speed]
+    rank = (instance.due if instance.objective is Objective.TARDINESS else -weight / p).tolist()
+    completion = np.zeros(n)
+    prev = 0.0
+    for i in priority_order(range(n), zip(src, dst), key=rank.__getitem__):
+        prev = completion[i] = max(release[i], prev) + p[i]
+    t = np.minimum(np.searchsorted(tau[1:], completion) + 1, T)
+    start = block[np.arange(n), speed, t - 1]
+
+    return LpModel(instance, grid, obj, upper, tuple(rows), start)
 
 
 def _flat(cols, vals):
@@ -164,40 +182,10 @@ def constraint_arrays(model: LpModel):
 
 
 def start_basis(model: LpModel) -> np.ndarray:
-    """The simplex start at the vertex of a greedy list schedule.
-
-    Jobs run back to back in a precedence-feasible order, each at the speed
-    index ``j_i`` minimising its energy plus the total weight times its load,
-    and start at ``max(release, previous completion)``.  Completion-time LPs
-    take the largest weight-to-load ratio first (Smith's rule), tardiness
-    LPs the earliest deadline; ties go to the lowest position.  Returns, per
-    row, the column basic on it: ``(i, j_i, t_i)`` on assign row i, with t_i
-    the first interval whose end ``tau_t`` is at least the completion time
-    (at most T), and -1 (the row's slack) on every other row.
-    """
-    instance, grid = model.instance, model.grid
-    jobs, n = instance.jobs, instance.n
-    speeds = np.array(instance.speedset.speeds)
-    rho = np.array([job.rho for job in jobs], dtype=float)
-    weight = np.array([job.weight for job in jobs], dtype=float)
-    load = rho[:, None] / speeds
-    speed = np.argmin(instance.energy_costs + weight.sum() * load, axis=1)
-    p = load[np.arange(n), speed]
-    if instance.objective is Objective.TARDINESS:
-        rank = [job.deadline for job in jobs]
-    else:
-        rank = (-weight / p).tolist()
-
-    pos = {job.id: i for i, job in enumerate(jobs)}
-    edges = [(pos[a], pos[b]) for a, b in instance.precedence.edges]
-    completion = np.zeros(n)
-    prev = 0.0
-    for i in priority_order(range(n), edges, key=rank.__getitem__):
-        prev = completion[i] = max(jobs[i].release, prev) + p[i]
-
-    t = np.minimum(np.searchsorted(np.array(grid.tau[1:]), completion) + 1, grid.T)
+    """Per row, the column basic on it at the simplex start: ``model.start``
+    on the assign rows, which lead, and -1 (the row's slack) on every other row."""
     start = np.full(len(model.rows), -1)
-    start[:n] = (np.arange(n) * instance.speedset.m + speed) * grid.T + t - 1   # assign rows lead
+    start[:model.instance.n] = model.start
     return start
 
 

@@ -135,7 +135,9 @@ def brute_force(instance: Instance, n_cap: int = DEFAULT_CAPS[0],
     rank = sorted(range(n), key=lambda k: instance.jobs[k].id)   # position -> job
     jobs, costs = [instance.jobs[k] for k in rank], instance.energy_costs[rank]
     pos = {job.id: k for k, job in enumerate(jobs)}
-    need = [sum(1 << pos[a] for a in instance.precedence.predecessors(job.id)) for job in jobs]
+    need = np.zeros(n, np.int64)            # per job the bit mask of its predecessors
+    for a, b in instance.precedence.edges:  # |=, so a repeated edge sets its bit once
+        need[pos[b]] |= 1 << pos[a]
     proc = np.array([job.rho / sigma for job in jobs])
     release, weight = (np.array([getattr(j, f) for j in jobs], dtype=float)
                        for f in ("release", "weight"))
@@ -166,7 +168,7 @@ def brute_force(instance: Instance, n_cap: int = DEFAULT_CAPS[0],
         s = _undominated(c, t, oc, sc, size)
         return c[s], t[s], oc[s], sc[s], _sizes(s, size)
 
-    bits, need = 1 << np.arange(n), np.array(need, np.int64)
+    bits = 1 << np.arange(n)
     masks, size = np.zeros(1, np.int64), np.ones(1, np.int64)
     front = np.zeros(1), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64)
     for _ in range(n):                               # one popcount layer per step

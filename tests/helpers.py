@@ -223,7 +223,7 @@ def reference_list_schedule(instance):
         ready = [
             k for k, job in enumerate(instance.jobs)
             if job.id not in order
-            and all(a in order for a in instance.precedence.predecessors(job.id))
+            and all(a in order for a, b in instance.precedence.edges if b == job.id)
         ]
         order.append(instance.jobs[min(ready, key=priority)].id)
     speed = {jid: speeds[j] for jid, j in speed_index.items()}

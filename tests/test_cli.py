@@ -106,6 +106,17 @@ def test_solve_with_oracle_flag(inst_path, capsys):
     assert data["report"]["ratio_vs_oracle"] >= 1.0 - 1e-9
 
 
+def test_solve_with_oracle_accepts_a_repeated_edge(tmp_path, capsys):
+    # job 1's bit summed twice into job 2's predecessor mask would be job 2's
+    # own bit, which no order satisfies
+    path = tmp_path / "inst.json"
+    save(dataclasses.replace(generate(1, 3, 2, GeneratorConfig(edge_density=0.0)),
+                             precedence=PrecedenceDag(((1, 2),) * 2)), path)
+    rc, out, _ = run_cli(capsys, "solve", str(path), "--oracle")
+    assert rc == 0
+    assert json.loads(out)["report"]["oracle_cost"] == 15.338919656681401
+
+
 def test_solve_alpha_override(inst_path, capsys):
     _, out_default, _ = run_cli(capsys, "solve", inst_path)
     _, out_alpha, _ = run_cli(capsys, "solve", inst_path, "--alpha", "0.3")

@@ -437,6 +437,20 @@ def test_start_reaches_the_crash_start_optimum(family):
         assert solve_lp(model).objective == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("keep", [lambda t: False, lambda t: t % 2 == 1], ids=["none", "odd-t"])
+@pytest.mark.parametrize("family", ["completion-d1", "releases-d0.3", "tardiness-d1"])
+def test_model_with_dropped_prec_rows_solves_to_its_own_optimum(family, keep):
+    # the start sits on the assign rows, which lead, so any later row may go
+    dropped = 0
+    for _, _, model in _start_cases(family):
+        rows = tuple(row for row in model.rows if row.kind != "prec" or keep(row.key[2]))
+        dropped += len(model.rows) - len(rows)
+        model = dataclasses.replace(model, rows=rows)
+        expected = highs_objective(model)
+        assert solve_lp(model).objective == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert dropped
+
+
 def _edge_value_model():
     """An n = 2, m = 2 model whose hand-built rows carry 0.0, -0.0, two values
     equal to 12 significant digits, and leave column 0 in no row."""

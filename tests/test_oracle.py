@@ -208,6 +208,21 @@ def test_brute_force_is_bit_identical_to_full_enumeration(family, fields, n_of, 
     for k in seeds:
         inst = generate(1000 + k, n_of(k), m, cfg)
         _assert_matches_reference(inst, (family, k))
+        if inst.precedence.edges:           # each edge listed three times is valid input
+            thrice = PrecedenceDag(inst.precedence.edges * 3)
+            _assert_matches_reference(dataclasses.replace(inst, precedence=thrice),
+                                      (family, k, "edges x3"))
+
+
+def test_an_edge_listed_three_times_still_allows_its_optimal_order():
+    # job 1's bit summed three times into job 3's predecessor mask would carry
+    # into job 2's bit and rule out the optimum (1, 3, 2)
+    inst = dataclasses.replace(generate(3, 3, 2, GeneratorConfig(edge_density=0.0)),
+                               precedence=PrecedenceDag(((1, 3),) * 3))
+    res = brute_force(inst)
+    assert (res.cost, res.order) == (15.49331218191356, (1, 3, 2))
+    assert res.cost == reference_brute_force(inst)[0]
+    assert run(inst, with_oracle=True).report["ratio_vs_oracle"] == 1.0
 
 
 @pytest.mark.parametrize("family, fields, n_of, m, seeds", _DIFFERENTIAL,
