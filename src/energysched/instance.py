@@ -86,8 +86,10 @@ class PrecedenceDag:
 
     edges: tuple = ()
 
-    def transitive_reduction(self) -> tuple:
-        """The edges that no path of two or more other edges implies.
+    @functools.cached_property
+    def reduced_edges(self) -> tuple:
+        """The edges that no path of two or more other edges implies, computed once per
+        DAG; a cycle raises ``ValueError``, and validation checks for none elsewhere.
 
         Warshall's recurrence closes the adjacency matrix into ``reach``; edge
         (a, b) is implied when a reaches a job that reaches b (Aho, Garey and
@@ -174,10 +176,9 @@ class Instance:
         return any(j.release > 0 for j in self.jobs)
 
 
-def priority_order(items: Sequence, edges, key=lambda item: 0) -> list | None:
-    """Kahn's topological sort of ``items`` under ``edges``: of the items whose
-    predecessors are all placed, the least by ``(key(item), item)`` goes next.
-    None when the edges have a cycle."""
+def priority_order(items: Sequence, edges, key=lambda item: 0) -> list:
+    """Kahn's topological sort of ``items`` under the acyclic ``edges``: of the items whose
+    predecessors are all placed, the least by ``(key(item), item)`` goes next."""
     waiting = {i: 0 for i in items}
     succ = {i: [] for i in items}
     for a, b in edges:
@@ -193,7 +194,7 @@ def priority_order(items: Sequence, edges, key=lambda item: 0) -> list | None:
             waiting[b] -= 1
             if waiting[b] == 0:
                 heapq.heappush(ready, (key(b), b))
-    return out if len(out) == len(waiting) else None
+    return out
 
 
 def _job_numbers(job: Job) -> dict:
@@ -261,9 +262,6 @@ def validate(instance: Instance) -> list:
     for a, b in instance.precedence.edges:
         if a not in id_set or b not in id_set:
             report.append(f"precedence edge ({a}, {b}) references unknown job id")
-    if all(a in id_set and b in id_set for a, b in instance.precedence.edges):
-        if priority_order(ids, instance.precedence.edges) is None:
-            report.append("precedence graph has a cycle")
 
     if not (0 < instance.alpha < 1):
         report.append(f"alpha must lie in (0, 1), got {instance.alpha}")
@@ -273,12 +271,23 @@ def validate(instance: Instance) -> list:
         report.append(f"beta must be >= 2, got {instance.beta}")
     if instance.objective is Objective.TARDINESS and any(j.release > 0 for j in instance.jobs):
         report.append("tardiness objective requires all release dates to be 0")
-    if not report:                  # the grid and the energy costs need valid fields
-        try:                        # both kept for every later stage; a build that raises keeps nothing
+    if not report:                  # the reduction, the grid and the energy costs need valid fields
+        try:                        # each kept for every later stage; a build that raises keeps nothing
+            instance.precedence.reduced_edges
             instance.grid
             instance.energy_costs
-        except ValueError as exc:   # a grid too fine to build, or a cost past the float range
+        except ValueError as exc:   # a cycle, a grid too fine to build, or a cost past the float range
             report.append(str(exc))
+        else:                       # their sum bounds every LP coefficient and every schedule cost
+            tau = instance.grid.tau[-1]
+            worst = [max(costs) + job.weight * tau
+                     for job, costs in zip(instance.jobs, instance.energy_costs.tolist())]
+            report += [f"job {job.id}: largest energy cost plus weight * tau_T must be finite, "
+                       f"got {cost} (tau_T = {tau})"
+                       for job, cost in zip(instance.jobs, worst) if not math.isfinite(cost)]
+            if not report and not math.isfinite(sum(worst)):
+                report.append(f"the sum over jobs of largest energy cost plus weight * tau_T "
+                              f"must be finite, got {sum(worst)} (tau_T = {tau})")
     return report
 
 
@@ -463,6 +472,10 @@ class GeneratorConfig:
             raise ValueError(f"edge_density must be in [0, 1], got {self.edge_density}")
         if self.rho_max < 1:
             raise ValueError(f"rho_max must be positive, got {self.rho_max}")
+        for name in ("release_max", "deadline_max"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
         if self.energy_kind not in ("poly", "table"):
             raise ValueError(f"unknown energy kind {self.energy_kind!r}")
         if self.objective is Objective.TARDINESS and self.release_max > 0:

@@ -138,7 +138,7 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
 
     first = job_free.argmax(axis=1) + 1     # first interval with an unpinned column
     pos = {job.id: i for i, job in enumerate(jobs)}
-    edges = instance.precedence.transitive_reduction()
+    edges = instance.precedence.reduced_edges
     src, dst = [pos[a] for a, _ in edges], [pos[b] for _, b in edges]
     # prec row t of edge (a, b) is pair[:, :, :t] flattened, with pair the
     # (m, T, 2) stack of a's and b's columns
@@ -201,11 +201,11 @@ def solve_lp(model: LpModel) -> LpSolution:
     # relative to the right-hand sides: capacity rows grow with the horizon
     limit = 1e-7 * max(1.0, float(np.abs(b).max()))
     residual = _max_residual(A, senses, b, x)
-    if residual > limit:
+    if not residual <= limit:               # nan fails too
         raise RuntimeError(f"LP solution residual {residual} exceeds {limit}")
     x3 = x.reshape(model.instance.n, model.instance.speedset.m, model.grid.T)
     mass = x3.sum(axis=(1, 2))
-    if np.any(np.abs(mass - 1.0) > 1e-7):
+    if not np.all(np.abs(mass - 1.0) <= 1e-7):
         raise RuntimeError(f"per-job mass deviates from 1: {mass}")
     return LpSolution(**{**vars(result), "x": x3})
 

@@ -6,6 +6,7 @@ which the benchmark harness asserts against realized ratios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import energy as energy_mod
@@ -14,14 +15,18 @@ from .instance import Instance, Objective
 
 
 class AssumptionError(RuntimeError):
-    """A job's energy cost grows too fast for the tardiness guarantee."""
+    """A job's energy cost grows too fast for the tardiness guarantee, or the
+    guarantee itself is past the float range."""
 
 
 def theoretical_bound(instance: Instance) -> float:
-    """Worst-case ratio of algorithm cost to the exact optimum."""
+    """Worst-case ratio of algorithm cost to the exact optimum; ``inf`` past the float range."""
     a, eps, delta, beta = instance.alpha, instance.epsilon, instance.speedset.delta, instance.beta
-    if instance.objective is Objective.TARDINESS:
-        return ((1 + eps) * (1 + delta)) ** (beta - 1) / (a * (1 - a)) ** beta
+    try:
+        if instance.objective is Objective.TARDINESS:
+            return ((1 + eps) * (1 + delta)) ** (beta - 1) / (a * (1 - a)) ** beta
+    except (OverflowError, ZeroDivisionError):     # the power overflows, or the divisor underflows
+        return math.inf
     if instance.has_releases:
         return (1 + a) * (1 + eps) * (1 + delta) / (a * (1 - a))
     return (1 + eps) * (1 + delta) / (a * (1 - a))
@@ -62,14 +67,21 @@ def run(instance: Instance, with_oracle: bool = False,
     These are raised before the LP is built: for tardiness,
     ``AssumptionError`` when a job's energy cost grows too fast and
     ``SpeedRangeError`` when the speed set cannot hold any scaled-up speed;
-    with the oracle, ``SizeCapError`` when the instance exceeds
-    ``oracle_caps``.
+    ``AssumptionError`` when the theoretical bound is not finite; with the
+    oracle, ``SizeCapError`` when the instance exceeds ``oracle_caps``.
     """
     # these checks fail fast: none depends on the LP solution
     tardy = instance.objective is Objective.TARDINESS
     if tardy:
         check_energy_assumption(instance)
         rounding.check_speed_range(instance)
+    bound = theoretical_bound(instance)
+    if not math.isfinite(bound):
+        raise AssumptionError(
+            f"the theoretical bound for alpha={instance.alpha}, epsilon={instance.epsilon}, "
+            f"delta={instance.speedset.delta}, beta={instance.beta} is past the float range; "
+            f"guarantee void"
+        )
     if with_oracle:
         oracle.check_size(instance, *oracle_caps)
 
@@ -82,7 +94,7 @@ def run(instance: Instance, with_oracle: bool = False,
         "lp_bound": lp_bound,
         "algorithm_cost": schedule.cost,
         "ratio_vs_lp": schedule.cost / lp_bound if lp_bound > 0 else float("inf"),
-        "theoretical_bound": theoretical_bound(instance),
+        "theoretical_bound": bound,
         "alpha": instance.alpha,
         "epsilon": instance.epsilon,
         "delta": instance.speedset.delta,

@@ -151,12 +151,20 @@ def solve(c, A, senses, b, lower=None, upper=None, config: SolverConfig | None =
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    for name, v in (("c", c), ("b", b)):
+        if not np.isfinite(v).all():
+            k = np.isfinite(v).argmin()
+            raise ValueError(f"{name} must be finite, got {name}[{k}] = {v[k]}")
     nrows, ncols = A.shape
     # sum(a^2) bounds every a^2 and takes one BLAS pass, cheaper than A.max()
-    # and A.min() on solve-mid; vdot gives inf on overflow, with no warning
+    # and A.min() on solve-mid; vdot gives inf on overflow and nan or inf on a
+    # non-finite entry, with no warning, so only then are the row maxima checked
     flat = A.ravel()
-    if np.vdot(flat, flat) > ROW_SCALE_MAX ** 2:
+    if not np.vdot(flat, flat) <= ROW_SCALE_MAX ** 2:
         scale = np.abs(A).max(axis=1)
+        if not np.isfinite(scale).all():
+            k = np.isfinite(scale).argmin()
+            raise ValueError(f"A must be finite, got max |A[{k}]| = {scale[k]}")
         scale[scale <= ROW_SCALE_MAX] = 1.0
         A, b = A / scale[:, None], b / scale
     if lower is not None and np.any(np.asarray(lower, dtype=float) != 0.0):

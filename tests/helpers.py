@@ -99,8 +99,8 @@ def reference_lp_dump(model):
 
 def reference_transitive_reduction(dag):
     """The edges that no path of two or more other edges implies, as
-    ``PrecedenceDag.transitive_reduction`` must give them: a Kahn sort, then
-    per job the bit mask of the jobs it reaches.
+    ``PrecedenceDag.reduced_edges`` must give them: a Kahn sort, then per
+    job the bit mask of the jobs it reaches.
 
     Edges keep their order; a repeated edge is kept once.
     """
@@ -109,7 +109,7 @@ def reference_transitive_reduction(dag):
     edges = tuple(dict.fromkeys(dag.edges))
     ids = sorted({v for edge in edges for v in edge})
     order = priority_order(ids, edges)
-    if order is None:
+    if len(order) < len(ids):           # the sort stopped at a cycle
         raise ValueError("precedence graph has a cycle")
     bit = {v: 1 << k for k, v in enumerate(ids)}
     succ = {v: [] for v in ids}

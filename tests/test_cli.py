@@ -561,6 +561,86 @@ def test_energy_costs_past_the_float_range_exit_2_naming_the_job(case, tmp_path,
                    f"must be finite, got {costs}\n")
 
 
+#: a job field of ``generate(1, 3, 2)``'s job 3 that w * tau_T carries past
+#: the float range, and that job's tau_T: the LP objective once held inf
+#: and reported nan, and the oracle once failed in ``add.reduceat``
+SCHEDULE_COST_OVERFLOWS = {
+    "weight": ({"weight": 1e308}, "4.324678649160119"),
+    "weight and release": ({"weight": 1e300, "release": 1e10}, "13959884696.619535"),
+}
+
+
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--oracle"], ["oracle"], ["lp-dump"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("case", SCHEDULE_COST_OVERFLOWS)
+def test_schedule_costs_past_the_float_range_exit_2_naming_the_job(case, command, tmp_path,
+                                                                  capsys, monkeypatch):
+    fields, tau = SCHEDULE_COST_OVERFLOWS[case]
+    data = to_dict(generate(1, 3, 2))
+    data["jobs"][2].update(fields)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(lp, "build_lp", _unreachable)
+    monkeypatch.setattr(oracle, "brute_force", _unreachable)
+    rc, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert (rc, out) == (2, "")
+    assert err == ("error: invalid instance: job 3: largest energy cost plus weight * tau_T "
+                   f"must be finite, got inf (tau_T = {tau})\n")
+
+
+#: an instance whose theoretical bound is past the float range, and the
+#: parameters the refusal names
+INFINITE_BOUNDS = {
+    # ((1 + eps)(1 + delta))**(beta - 1) overflows
+    "tardiness beta 1000": (Objective.TARDINESS, {"beta": 1000.0},
+                            "alpha=0.5, epsilon=0.5, delta=3.0, beta=1000.0"),
+    # the power is finite, the division by (alpha (1 - alpha))**beta is not
+    "tardiness beta 300": (Objective.TARDINESS, {"beta": 300.0},
+                           "alpha=0.5, epsilon=0.5, delta=3.0, beta=300.0"),
+    "completion delta 1e308": (Objective.COMPLETION_TIME, {"delta": 1e308},
+                               "alpha=0.5, epsilon=0.5, delta=1e+308, beta=2.0"),
+}
+
+
+def _infinite_bound_instance(case):
+    objective, fields, _ = INFINITE_BOUNDS[case]
+    if objective is Objective.TARDINESS:
+        data = to_dict(generate(1, 3, 6, GeneratorConfig(objective=objective, delta=3.0)))
+    else:
+        data = to_dict(generate(1, 3, 2))
+    data.update(fields)
+    return from_dict(data)
+
+
+@pytest.mark.parametrize("case", INFINITE_BOUNDS)
+def test_theoretical_bound_past_the_float_range_exits_2_before_the_lp(case, tmp_path, capsys,
+                                                                      monkeypatch):
+    inst = _infinite_bound_instance(case)
+    assert pipeline.theoretical_bound(inst) == float("inf")   # not an OverflowError
+    path = tmp_path / "inst.json"
+    save(inst, path)
+    monkeypatch.setattr(lp, "build_lp", _unreachable)
+    rc, out, err = run_cli(capsys, "solve", str(path))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: the theoretical bound for {INFINITE_BOUNDS[case][2]} is past "
+                   "the float range; guarantee void\n")
+
+
+def test_theoretical_bound_is_inf_when_its_divisor_underflows():
+    inst = Instance(jobs=(Job(1, 1, 1.0),), speedset=SpeedSet((1.0,), 1e-3),
+                    objective=Objective.TARDINESS, epsilon=1e-3, beta=1000.0)
+    # 1.002001 ** 999 is about 7.4, and (alpha (1 - alpha)) ** 1000 = 0.25 ** 1000 is 0.0
+    assert pipeline.theoretical_bound(inst) == float("inf")
+
+
+def test_bench_records_an_infinite_theoretical_bound(capsys):
+    rc, out, _ = run_cli(capsys, "bench", "--count", "2", "--m", "1", "--delta", "1e308")
+    assert rc == 0
+    rows = json.loads(out)["instances"]
+    assert [r["status"] for r in rows] == ["AssumptionError"] * 2
+    assert all("theoretical bound" in r["error"] and "delta=1e+308" in r["error"] for r in rows)
+
+
 @pytest.mark.parametrize("alpha", [1e-9, 1e-10, 1e-300])
 def test_tiny_alpha_solves_within_the_bound(alpha, tmp_path, capsys):
     # at alpha <= the rounding's mass tolerance, an interval with no mass once
@@ -705,6 +785,10 @@ BAD_GENERATOR_FLAGS = {
     "--edge-density 2": "error: edge_density must be in [0, 1], got 2.0\n",
     "--rho-max 0": "error: rho_max must be positive, got 0\n",
     "--objective tardiness --release-max 1": "error: tardiness instances cannot have release dates\n",
+    "--release-max inf": "error: release_max must be finite and non-negative, got inf\n",
+    "--release-max nan": "error: release_max must be finite and non-negative, got nan\n",
+    "--objective tardiness --deadline-max inf":
+        "error: deadline_max must be finite and non-negative, got inf\n",
     "--energy cubic": "argument --energy: invalid choice: 'cubic'",
     "--beta abc": "argument --beta: invalid float value: 'abc'",
 }

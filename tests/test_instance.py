@@ -1,5 +1,6 @@
 
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -26,6 +27,7 @@ from energysched import (
 from energysched import instance as instance_mod
 from energysched import pipeline
 from energysched.instance import from_dict, to_dict
+from energysched.lp import build_lp
 
 from helpers import reference_transitive_reduction
 
@@ -54,13 +56,51 @@ def test_two_cycle_reported():
 def test_transitive_reduction_drops_implied_and_repeated_edges():
     # 1 -> 2 -> 3 -> 4 implies 1 -> 3, 1 -> 4 and 2 -> 4; 5 -> 4 stands alone
     dag = PrecedenceDag(((1, 3), (1, 2), (2, 3), (1, 4), (3, 4), (2, 4), (5, 4), (1, 2)))
-    assert dag.transitive_reduction() == ((1, 2), (2, 3), (3, 4), (5, 4))
-    assert PrecedenceDag().transitive_reduction() == ()
+    assert dag.reduced_edges == ((1, 2), (2, 3), (3, 4), (5, 4))
+    assert PrecedenceDag().reduced_edges == ()
 
 
 def test_transitive_reduction_rejects_a_cycle():
     with pytest.raises(ValueError, match="cycle"):
-        PrecedenceDag(((1, 2), (2, 3), (3, 1))).transitive_reduction()
+        PrecedenceDag(((1, 2), (2, 3), (3, 1))).reduced_edges
+
+
+def test_a_cycle_is_reported_once_every_other_field_is_valid():
+    cyclic = dict(jobs=(Job(1, 1, 1.0), Job(2, 1, 1.0)),
+                  precedence=PrecedenceDag(((1, 2), (2, 1))))
+    with pytest.raises(ValueError, match=r"^invalid instance: alpha must lie in \(0, 1\), got 2.0$"):
+        minimal_instance(alpha=2.0, **cyclic)
+    with pytest.raises(ValueError, match="^invalid instance: precedence graph has a cycle$"):
+        minimal_instance(**cyclic)
+
+
+def test_the_reduction_is_computed_once_per_dag(monkeypatch):
+    generated = generate(1, 8, 2, GeneratorConfig(edge_density=0.5))
+    reduce, reduced = PrecedenceDag.reduced_edges.func, []
+
+    def recording_reduce(dag):
+        reduced.append(dag)
+        return reduce(dag)
+
+    counted = functools.cached_property(recording_reduce)
+    counted.__set_name__(PrecedenceDag, "reduced_edges")
+    monkeypatch.setattr(PrecedenceDag, "reduced_edges", counted)
+    dag = PrecedenceDag(generated.precedence.edges)
+    inst = Instance(generated.jobs, generated.speedset, dag)    # validation reduces the DAG
+    assert len(reduced) == 1 and reduced[0] is dag
+    finer = dataclasses.replace(inst, epsilon=0.25)             # shares the DAG
+    model = build_lp(finer, finer.grid)
+    assert len(reduced) == 1
+    assert any(row.kind == "prec" for row in model.rows)
+
+
+def test_a_finite_cost_per_job_with_an_infinite_sum_is_refused():
+    # tau_T = 1.125, so each job's term is 1.125e308 + 2.0, and their sum is inf
+    jobs = tuple(Job(i, 1, 1e308) for i in (1, 2))
+    with pytest.raises(ValueError, match=re.escape(
+            "the sum over jobs of largest energy cost plus weight * tau_T must be finite, "
+            "got inf")):
+        minimal_instance(jobs=jobs, speedset=SpeedSet((2.0,), 0.5))
 
 
 def _reduction_or_error(reduce, dag):
@@ -96,7 +136,7 @@ def test_transitive_reduction_matches_the_reference_on_random_edges():
     for _ in range(2500):
         dag = PrecedenceDag(_random_edges(rng))
         expected = _reduction_or_error(reference_transitive_reduction, dag)
-        assert _reduction_or_error(PrecedenceDag.transitive_reduction, dag) == expected, dag
+        assert _reduction_or_error(lambda d: d.reduced_edges, dag) == expected, dag
         cycles += isinstance(expected, str)
     assert cycles > 100                   # the error path is exercised too
 
@@ -106,7 +146,7 @@ def test_transitive_reduction_matches_the_reference_on_random_edges():
 def test_transitive_reduction_matches_the_reference_on_generated_dags(n, density):
     for seed in (1, 2):
         dag = generate(seed, n, 3, GeneratorConfig(edge_density=density)).precedence
-        assert dag.transitive_reduction() == reference_transitive_reduction(dag)
+        assert dag.reduced_edges == reference_transitive_reduction(dag)
 
 
 def test_speed_spacing_violation():
@@ -255,6 +295,16 @@ BAD_GENERATOR = {
     "edge_density must be in [0, 1], got 1.5": lambda: GeneratorConfig(edge_density=1.5),
     "rho_max must be positive, got 0": lambda: GeneratorConfig(rho_max=0),
     "unknown energy kind 'cubic'": lambda: GeneratorConfig(energy_kind="cubic"),
+    "release_max must be finite and non-negative, got inf":
+        lambda: GeneratorConfig(release_max=float("inf")),
+    "release_max must be finite and non-negative, got nan":
+        lambda: GeneratorConfig(release_max=float("nan")),
+    "release_max must be finite and non-negative, got -1.0":
+        lambda: GeneratorConfig(release_max=-1.0),
+    "deadline_max must be finite and non-negative, got inf":
+        lambda: GeneratorConfig(objective=Objective.TARDINESS, deadline_max=float("inf")),
+    "deadline_max must be finite and non-negative, got -2.0":
+        lambda: GeneratorConfig(deadline_max=-2.0),
     "tardiness instances cannot have release dates":
         lambda: GeneratorConfig(objective=Objective.TARDINESS, release_max=1.0),
     "need n >= 1 jobs and m >= 1 speeds, got n=0, m=2": lambda: generate(1, 0, 2),

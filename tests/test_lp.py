@@ -321,6 +321,10 @@ CERTIFICATE_FAILURES = {
     "residual": (lambda result, b: dataclasses.replace(result, x=np.zeros_like(result.x)),
                  "LP solution residual 1.0 exceeds"),
     "mass": (_shift_job_1, "per-job mass deviates from 1"),
+    # "optimal" at objective nan: every comparison with nan is false
+    "nan": (lambda result, b: dataclasses.replace(result, x=np.full_like(result.x, np.nan),
+                                                  objective=np.nan),
+            "LP solution residual nan exceeds"),
 }
 
 

@@ -213,6 +213,20 @@ def test_bad_sense_or_lower_bound_raises_value_error(sense, lower, match):
         solve([1.0], [[1.0]], [sense], [1.0], lower, upper=[1.0])
 
 
+@pytest.mark.parametrize("c, A, b, match", [
+    ([np.inf, 1.0], [[1.0, 1.0]], [1.0], r"c must be finite, got c\[0\] = inf"),
+    ([np.nan, 1.0], [[1.0, 1.0]], [1.0], r"c must be finite, got c\[0\] = nan"),
+    ([1.0, 1.0], [[np.nan, 1.0]], [1.0], r"A must be finite, got max \|A\[0\]\| = nan"),
+    ([1.0, 1.0], [[1.0, 1.0], [1.0, -np.inf]], [1.0, 1.0],
+     r"A must be finite, got max \|A\[1\]\| = inf"),
+    ([1.0, 1.0], [[1.0, 1.0]], [np.nan], r"b must be finite, got b\[0\] = nan"),
+], ids=["inf cost", "nan cost", "nan in A", "-inf in A", "nan in b"])
+def test_non_finite_data_raises_value_error(c, A, b, match):
+    # an inf or nan cost once gave "optimal" at objective nan, and the nan in A "optimal" at -1.0
+    with pytest.raises(ValueError, match=match):
+        solve(c, A, ["<="] * len(b), b, upper=[1.0, 1.0])
+
+
 def _kernel_drift(kernel):
     """max |B11^-1 B11 - I| of the kernel's current inverse."""
     k = kernel.k
