@@ -26,11 +26,17 @@ The program runs one popcount layer at a time.  Layer L holds the fronts of
 every precedence-closed S with L jobs (each S a bitmask, a "mask"), stored
 end to end with a size per mask.  A step pairs each S with each job k
 outside it whose predecessors lie in S, builds the child states of many
-masks in one pass, sorts them by (child mask, C, T), and prunes each
-child's front on padded (masks x longest front) and (masks x front x front)
-arrays.  It works through the child masks in runs whose padded arrays hold
-at most ``CHUNK_CELLS`` cells, which bounds the memory a step takes; the
-tests hold the tracemalloc peak at n = 12 under 8 MB.
+masks in one pass and sorts them by (child mask, C), in any order within an
+equal C: what a front keeps depends only on its set of (C, T, label)
+states.  It then prunes each child's front on padded arrays: first the
+states more than the margin above the least T at a C no larger, on
+(masks x longest front) arrays, then the dominated states, on
+(masks x front x front) arrays.  That pairwise pass is skipped when every
+front trades C for T strictly (C rises and T falls from each state to the
+next), since then no state can dominate another.  It works through the
+child masks in runs whose padded arrays hold at most ``CHUNK_CELLS``
+cells, which bounds the memory a step takes; the tests hold the
+tracemalloc peak at n = 12 under 8 MB.
 
 ``dual_cost`` / ``special_case_order`` cover the continuous-speed special
 cases without precedence or releases: with equal weights, or with equal
@@ -97,18 +103,32 @@ def _cells(size):
     return row, np.arange(len(row)) - (np.cumsum(size) - size)[row]
 
 
-def _below_margin(t, size, margin):
+def _below_margin(c, t, size, margin):
     """States whose T exceeds the least T at a C no larger by at most
-    ``margin``; each front is sorted by (C, T)."""
+    ``margin``; each front is sorted by C, in any order within an equal C."""
     at = _cells(size)
     low = np.full((len(size), size.max()), np.inf)
     low[at] = t
-    return t - np.minimum.accumulate(low, axis=1)[at] <= margin
+    low = np.minimum.accumulate(low, axis=1)[at]
+    # the least T at C no larger is the prefix minimum at the last state of C's run
+    last = np.append(c[1:] != c[:-1], True)
+    last[np.cumsum(size) - 1] = True                    # a front's last state ends a run
+    end = np.flatnonzero(last)[np.cumsum(last) - last]  # each state's run end
+    return t - low[end] <= margin
 
 
 def _undominated(c, t, oc, sc, size):
     """States that no other state of the same mask dominates: C and T no
-    larger, and a smaller label."""
+    larger, and a smaller label.  Each front is sorted by C."""
+    falls = (c[1:] > c[:-1]) & (t[1:] < t[:-1])
+    falls[np.cumsum(size)[:-1] - 1] = True              # no pair spans two fronts
+    if falls.all():         # each front trades C for T strictly: no pair dominates
+        return np.ones(len(c), bool)
+    return _pairwise_undominated(c, t, oc, sc, size)
+
+
+def _pairwise_undominated(c, t, oc, sc, size):
+    """:func:`_undominated` by comparing every pair of states of a mask."""
     rank = np.empty(len(c))                 # labels are distinct within a mask
     rank[np.lexsort((sc, oc))] = np.arange(len(c))
     keep, end = [], np.cumsum(size)
@@ -161,9 +181,14 @@ def brute_force(instance: Instance, n_cap: int = DEFAULT_CAPS[0],
         oc, sc = (oc * n + k).repeat(m), (sc[:, None] * m + np.arange(m)).ravel()
         k = k.repeat(m)
         t += weight[k] * np.maximum(c - due[k], 0.0)
-        s = np.lexsort((t, c, np.repeat(np.arange(len(size)), size)))
+        # the states come grouped by child mask: order each group by C with one
+        # unstable sort on C, then a stable (radix) sort on the mask index, which
+        # fits uint16 (at n <= 15 a layer holds at most C(15, 7) = 6,435 masks)
+        s = np.argsort(c)
+        s = s[np.argsort(np.repeat(np.arange(len(size), dtype=np.uint16), size)[s],
+                         kind="stable")]
         c, t, oc, sc = c[s], t[s], oc[s], sc[s]
-        s = _below_margin(t, size, margin)
+        s = _below_margin(c, t, size, margin)
         c, t, oc, sc, size = c[s], t[s], oc[s], sc[s], _sizes(s, size)
         s = _undominated(c, t, oc, sc, size)
         return c[s], t[s], oc[s], sc[s], _sizes(s, size)

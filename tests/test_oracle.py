@@ -267,6 +267,80 @@ def test_runs_cover_every_mask_and_fit_the_chunk(cells):
     assert packed and (oversize > 0) == (cells(2000) > oracle.CHUNK_CELLS)
 
 
+def _kept_below_margin(c, t, size, margin):
+    # a state stays when its T is within margin of the least T at a C no larger
+    keep, lo = [], 0
+    for f in size:
+        cf, tf = c[lo:lo + f], t[lo:lo + f]
+        keep += [tf[i] - tf[cf <= cf[i]].min() <= margin for i in range(f)]
+        lo += f
+    return np.array(keep)
+
+
+def _shuffled_within_runs(c, size, rng):
+    # an order sorted by (front, C) that is random inside each equal-C run
+    front = np.repeat(np.arange(len(size)), size)
+    return np.lexsort((rng.random(len(c)), c, front))
+
+
+def test_below_margin_ignores_the_order_inside_an_equal_c_run():
+    # front 0 ends in a run short of the padded block's last column, front 1
+    # in a run that fills it; in each the least T of the run may come last
+    size, margin = np.array([3, 4]), 0.25
+    c = np.array([1.0, 2.0, 2.0, 0.0, 3.0, 3.0, 3.0])
+    t = np.array([3.0, 2.9, 1.0, 4.0, 3.0, 1.1, 1.2])
+    want = [True, False, True, True, False, True, True]
+    assert list(_kept_below_margin(c, t, size, margin)) == want
+    for first in itertools.permutations([1, 2]):
+        for second in itertools.permutations([4, 5, 6]):
+            at = [0, *first, 3, *second]
+            assert list(oracle._below_margin(c[at], t[at], size, margin)) == \
+                [want[i] for i in at]
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        size = rng.integers(1, 9, size=int(rng.integers(1, 6)))
+        # few distinct C values give equal-C runs, at a front's end too
+        c = np.concatenate([np.sort(rng.integers(0, 4, f)) for f in size]).astype(float)
+        t = rng.integers(0, 8, len(c)) * 0.2          # steps of 0.2, margin 0.25
+        want = _kept_below_margin(c, t, size, margin)
+        at = _shuffled_within_runs(c, size, rng)
+        assert (oracle._below_margin(c[at], t[at], size, margin) == want[at]).all()
+
+
+def test_undominated_shortcut_returns_the_pairwise_mask():
+    rng = np.random.default_rng(11)
+    margin, shortcut, dropped = 1e-9, 0, 0
+    for _ in range(400):
+        size = rng.integers(1, 10, size=int(rng.integers(1, 6)))
+        # each front trades C for T strictly, then a few states take a T within
+        # margin of the state before them, and half of those its C as well
+        c, t = [], []
+        for f in size:
+            cf = np.cumsum(rng.integers(1, 4, f)).astype(float)
+            tf = np.cumsum(rng.integers(1, 4, f))[::-1].astype(float)
+            for i in np.flatnonzero(rng.random(f - 1) < 0.05) + 1:
+                if rng.random() < 0.5:
+                    cf[i] = cf[i - 1]
+                tf[i] = tf[i - 1] + rng.choice([-1, 0, 1]) * margin / 2
+            front = np.lexsort((tf, cf))
+            c.append(cf[front])
+            t.append(tf[front])
+        c, t = np.concatenate(c), np.concatenate(t)
+        at = _shuffled_within_runs(c, size, rng)
+        c, t = c[at], t[at]
+        oc = rng.permutation(len(c))
+        sc = rng.integers(0, 3, len(c))
+        want = oracle._pairwise_undominated(c, t, oc, sc, size)
+        assert (oracle._undominated(c, t, oc, sc, size) == want).all()
+        monotone = all(((np.diff(cf) > 0) & (np.diff(tf) < 0)).all()
+                       for cf, tf in zip(np.split(c, np.cumsum(size)[:-1]),
+                                         np.split(t, np.cumsum(size)[:-1])))
+        shortcut += monotone
+        dropped += not want.all()
+    # both branches are drawn, and the planted near-ties make the pairwise pass drop states
+    assert 0 < shortcut < 400 and dropped > 0
+
+
 def test_n12_peak_memory_stays_under_8_mb():
     inst = generate(1, 12, 3, GeneratorConfig(edge_density=0.0, release_max=5.0))
     tracemalloc.start()
@@ -288,9 +362,12 @@ def _identical_jobs(objective, ids, deadline=0.0):
     )
 
 
-def test_ties_between_orders_and_combinations_break_as_enumerated():
+def test_ties_between_orders_and_combinations_break_as_enumerated(monkeypatch):
     # deadline 3: (slow, fast) and (fast, slow) both cost 3, the least, in
     # either order; the first order and the lowest combination index win
+    calls, pairwise = [], oracle._pairwise_undominated
+    monkeypatch.setattr(oracle, "_pairwise_undominated",
+                        lambda *a: calls.append(a) or pairwise(*a))
     inst = _identical_jobs(Objective.TARDINESS, (2, 1), deadline=3.0)
     _assert_matches_reference(inst, "tardiness ties")
     res = brute_force(inst)
@@ -300,6 +377,8 @@ def test_ties_between_orders_and_combinations_break_as_enumerated():
     inst = _identical_jobs(Objective.COMPLETION_TIME, (3, 1, 2))
     _assert_matches_reference(inst, "completion ties")
     assert brute_force(inst).order == (1, 2, 3)
+    # equal (C, T) states are no strictly monotone front: the pairwise pass runs
+    assert calls
 
 
 @pytest.mark.parametrize("first_costs", [(1.0, 1.0), (1.0 + 2 ** -52, 1.0)],
