@@ -113,6 +113,10 @@ def _check_tardiness_ladder(cfg: GeneratorConfig, m: int) -> None:
 
 
 def cmd_bench(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
     cfg = _generator_config(args)
     if cfg.objective is Objective.TARDINESS:
         _check_tardiness_ladder(cfg, args.m)
@@ -178,14 +182,23 @@ def _perf_row(seed: int, n: int) -> dict:
 
 
 def cmd_perf(args) -> int:
-    _perf_row(PERF_SEEDS[0], PERF_SIZES[0])      # untimed warm-up: the first row runs warm too
-    rows = [_perf_row(seed, n) for n in PERF_SIZES for seed in PERF_SEEDS]
     env = {
         "python": platform.python_version(), "numpy": np.__version__,
         "machine": platform.machine(), "cpus": os.cpu_count(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
-    with open(args.out, "w") as fh:
+    fresh = not os.path.exists(args.out)
+    # opened before the sweep, so a path that cannot be written fails at once;
+    # appending leaves an existing record whole until the sweep is done
+    with open(args.out, "a") as fh:
+        try:
+            _perf_row(PERF_SEEDS[0], PERF_SIZES[0])  # untimed warm-up: the first row runs warm too
+            rows = [_perf_row(seed, n) for n in PERF_SIZES for seed in PERF_SEEDS]
+        except BaseException:
+            if fresh:                                # leave no empty record behind
+                os.remove(args.out)
+            raise
+        fh.truncate(0)
         json.dump({"env": env, "instances": rows}, fh, indent=1)
         fh.write("\n")
     print(f"wrote {args.out}", file=sys.stderr)
@@ -253,12 +266,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        instance_mod.ParseError,
-        FileNotFoundError,
-        ValueError,
-        RuntimeError,
-    ) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:   # OSError: a path not read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ Two descriptor variants are supported:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -95,11 +96,15 @@ def cost_at(
 ) -> float:
     """Cost of running a job of size ``rho`` entirely at ``speed``.
 
-    Table descriptors are evaluated on their lower convex envelope, which
-    requires the grid ``speeds`` the table refers to.
+    A polynomial cost past the float range is ``inf``.  Table descriptors
+    are evaluated on their lower convex envelope, which requires the grid
+    ``speeds`` the table refers to.
     """
     if isinstance(energy, PolynomialEnergy):
-        return energy.v * rho * speed ** (energy.beta - 1)
+        try:
+            return energy.v * rho * speed ** (energy.beta - 1)
+        except OverflowError:                   # speed ** (beta - 1) past the float range
+            return math.inf
     if speeds is None:
         raise ValueError("table energy evaluation requires the speed grid")
     return _interpolate(speeds, convexify(energy.costs, speeds), speed)

@@ -55,14 +55,6 @@ class SpeedSet:
     def m(self) -> int:
         return len(self.speeds)
 
-    @property
-    def min(self) -> float:
-        return self.speeds[0]
-
-    @property
-    def max(self) -> float:
-        return self.speeds[-1]
-
 
 def quantize_speed_range(sigma_min: float, sigma_max: float, delta: float) -> SpeedSet:
     """Geometric speed ladder covering ``[sigma_min, sigma_max]``.
@@ -135,21 +127,15 @@ class Instance:
     def energy_costs(self) -> np.ndarray:
         """Read-only (n, m) cost of running job i entirely at grid speed j.
 
-        Tabulated costs are read on their lower convex envelope.  Raises
-        ``ValueError`` naming the first job with a cost that is not finite.
+        Tabulated costs are read on their lower convex envelope; a polynomial
+        cost past the float range is ``inf``.  Raises ``ValueError`` naming
+        the first job with a cost that is not finite.
         """
         speeds = self.speedset.speeds
-
-        def cost(job, s):
-            try:
-                return cost_at(job.energy, job.rho, s)
-            except OverflowError:               # s ** (beta - 1) past the float range
-                return math.inf
-
         costs = np.array([
             convexify(job.energy.costs, speeds)
             if isinstance(job.energy, TableEnergy)
-            else [cost(job, s) for s in speeds]
+            else [cost_at(job.energy, job.rho, s) for s in speeds]
             for job in self.jobs
         ], dtype=float)
         for i in np.flatnonzero(~np.isfinite(costs).all(axis=1)):

@@ -134,7 +134,7 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
             for i, job in enumerate(jobs)]
     for t in range(1, T + 1):
         rows.append(Row("capacity", (t,), block[:, :, :t].ravel(),
-                        np.repeat(load.ravel(), t), "<=", grid.upper(t)))
+                        np.repeat(load.ravel(), t), "<=", grid.tau[t]))
 
     first = job_free.argmax(axis=1) + 1     # first interval with an unpinned column
     pos = {job.id: i for i, job in enumerate(jobs)}

@@ -108,7 +108,7 @@ def round_speed_up(speed: float, speedset: SpeedSet) -> float:
             return s
     raise SpeedRangeError(
         f"speed set cannot realize scaled speed {speed} "
-        f"(sigma_m = {speedset.max}); extend the speed set"
+        f"(sigma_m = {speedset.speeds[-1]}); extend the speed set"
     )
 
 
@@ -126,7 +126,7 @@ def round_speed_energy_aware(speed: float, speedset: SpeedSet, grid_costs) -> fl
         if s <= speed * (1 + 1e-12):
             lo_idx = j
     if lo_idx is None:
-        raise ValueError(f"target speed {speed} below sigma_1 = {speedset.min}")
+        raise ValueError(f"target speed {speed} below sigma_1 = {speeds[0]}")
     if abs(speeds[lo_idx] - speed) <= 1e-12 * speed or lo_idx == len(speeds) - 1:
         return speeds[lo_idx]
     return speeds[lo_idx] if grid_costs[lo_idx] <= grid_costs[lo_idx + 1] else speeds[lo_idx + 1]
@@ -145,10 +145,10 @@ def check_speed_range(instance: Instance) -> None:
     fails, whatever the LP solution.
     """
     gamma = tardiness_gamma(instance.epsilon, instance.alpha)
-    ss = instance.speedset
-    if gamma * ss.min * (1 - 1e-12) > ss.max:
+    lo, hi = instance.speedset.speeds[0], instance.speedset.speeds[-1]
+    if gamma * lo * (1 - 1e-12) > hi:
         raise SpeedRangeError(
-            f"gamma * sigma_1 = {gamma * ss.min} exceeds sigma_m = {ss.max} "
+            f"gamma * sigma_1 = {gamma * lo} exceeds sigma_m = {hi} "
             f"(gamma = (1 + epsilon) / (alpha * (1 - alpha)) = {gamma}); "
             f"extend the speed set"
         )

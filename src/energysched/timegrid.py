@@ -30,9 +30,6 @@ class TimeGrid:
         """Lower completion-time bound for interval t (tau_{t-1})."""
         return self.tau[t - 1]
 
-    def upper(self, t: int) -> float:
-        return self.tau[t]
-
 
 #: most intervals :func:`build_grid` builds before it refuses the instance.
 #: The LP has n*m*T columns and a capacity block of about n*m*T^2/2
@@ -46,10 +43,9 @@ def build_grid(instance: Instance) -> TimeGrid:
     Raises ``ValueError`` naming epsilon once the grid would have more than
     :data:`MAX_INTERVALS` intervals.
     """
-    kappa = min(j.rho for j in instance.jobs) / instance.speedset.max
-    horizon = max(j.release for j in instance.jobs) + sum(
-        j.rho / instance.speedset.min for j in instance.jobs
-    )
+    speeds = instance.speedset.speeds
+    kappa = min(j.rho for j in instance.jobs) / speeds[-1]
+    horizon = max(j.release for j in instance.jobs) + sum(j.rho / speeds[0] for j in instance.jobs)
     tau = [kappa, kappa]
     # repeated multiplication: each boundary ratio is (1 + epsilon) to 1 ulp
     while tau[-1] < horizon * (1 - 1e-15):

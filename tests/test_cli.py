@@ -340,6 +340,61 @@ def test_missing_instance_file_exit_code(capsys):
     assert "error:" in err
 
 
+#: argv that reads or writes a path the OS refuses; ``{dir}`` is a directory,
+#: ``{inst}`` an instance file, and the last item is the path the error names
+UNUSABLE_PATHS = {
+    "solve a directory": ("solve", "{dir}", "{dir}"),
+    "oracle a directory": ("oracle", "{dir}", "{dir}"),
+    "lp-dump a directory": ("lp-dump", "{dir}", "{dir}"),
+    "gen --out a directory": ("gen", "--seed", "1", "--n", "3", "--m", "2", "--out", "{dir}",
+                              "{dir}"),
+    "lp-dump --out a directory": ("lp-dump", "{inst}", "--out", "{dir}", "{dir}"),
+    "lp-dump --out under a file": ("lp-dump", "{inst}", "--out", "{inst}/x", "{inst}/x"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_PATHS)
+def test_unusable_path_exits_2_naming_it(case, inst_path, tmp_path, capsys):
+    *argv, named = [a.format(dir=tmp_path, inst=inst_path) for a in UNUSABLE_PATHS[case]]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_perf_refuses_an_unwritable_out_before_its_first_solve(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_perf_row", lambda seed, n: calls.append((seed, n)))
+    rc, out, err = run_cli(capsys, "perf", "--out", str(tmp_path))
+    assert (rc, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_perf_sweep_that_raises_leaves_no_record(tmp_path, capsys, monkeypatch):
+    def fail(seed, n):
+        raise RuntimeError("solve failed")
+
+    monkeypatch.setattr(cli, "_perf_row", fail)
+    fresh, old = tmp_path / "BENCH_new.json", tmp_path / "BENCH_old.json"
+    old.write_text("{}\n")
+    assert run_cli(capsys, "perf", "--out", str(fresh)) == (2, "", "error: solve failed\n")
+    assert not fresh.exists()
+    assert run_cli(capsys, "perf", "--out", str(old)) == (2, "", "error: solve failed\n")
+    assert old.read_text() == "{}\n"                 # an earlier record stays whole
+
+
+@pytest.mark.parametrize("flags, message", [
+    ("--vary-n --n 0 --count 2", "--n must be at least 1, got 0"),
+    ("--n -3", "--n must be at least 1, got -3"),
+    ("--count -1", "--count must be at least 0, got -1"),
+])
+def test_bench_refuses_counts_it_cannot_use(flags, message, capsys, monkeypatch):
+    monkeypatch.setattr(cli.instance_mod, "generate", None)     # no instance is built
+    rc, out, err = run_cli(capsys, "bench", *flags.split())
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 #: an instance file's text, and the message after ``error:``; ``{path}`` is the file's path
 MALFORMED = {
     "missing fields": ('{"jobs": "nope"}', "missing fields ['alpha', 'beta', 'delta', 'edges', "

@@ -76,7 +76,7 @@ def _kept_prec_rows(inst, grid):
         job = next(j for j in inst.jobs if j.id == b)
         first = min(
             t for t in range(1, grid.T + 1) for s in inst.speedset.speeds
-            if grid.upper(t) >= (job.release + job.rho / s) * (1 - 1e-12)
+            if grid.tau[t] >= (job.release + job.rho / s) * (1 - 1e-12)
         )
         kept += [(a, b, t) for t in range(first, grid.T)]
     return kept

@@ -104,7 +104,7 @@ def test_alpha_speed_within_speed_range():
     for _ in range(50):
         w = rng.dirichlet(np.ones(12)).reshape(1, 3, 4)
         s = alpha_data(w, 0.5, speeds=ss.speeds)[0].speed
-        assert ss.min - 1e-12 <= s <= ss.max + 1e-12
+        assert ss.speeds[0] - 1e-12 <= s <= ss.speeds[-1] + 1e-12
 
 
 def test_alpha_data_one_pass_keeps_jobs_apart():
@@ -169,7 +169,7 @@ def test_round_energy_aware_rising_costs_within_delta():
     ss = SpeedSet((1.0, 1.4, 1.95, 2.7), 0.4)
     rising = [es.cost_at(PolynomialEnergy(1.3, 3.0), 2, s) for s in ss.speeds]
     for _ in range(100):
-        s = rng.uniform(ss.min, ss.max)
+        s = rng.uniform(ss.speeds[0], ss.speeds[-1])
         r = round_speed_energy_aware(s, ss, rising)
         assert r <= s * (1 + 1e-12)
         assert r >= s / (1 + ss.delta) * (1 - 1e-12)
