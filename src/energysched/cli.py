@@ -56,7 +56,14 @@ def _add_generator_flags(p) -> None:
     flag("--alpha", type=float)
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    """Refuse a flag's value below ``low``, naming the flag and the value."""
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 def cmd_gen(args) -> int:
+    _at_least("--seed", args.seed, 0)       # np.random.default_rng refuses it unnamed
     cfg = _generator_config(args)
     inst = instance_mod.generate(args.seed, args.n, args.m, cfg)
     if args.out:
@@ -113,10 +120,9 @@ def _check_tardiness_ladder(cfg: GeneratorConfig, m: int) -> None:
 
 
 def cmd_bench(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
-    if args.count < 0:
-        raise ValueError(f"--count must be at least 0, got {args.count}")
+    _at_least("--seed", args.seed, 0)
+    _at_least("--n", args.n, 1)
+    _at_least("--count", args.count, 0)
     cfg = _generator_config(args)
     if cfg.objective is Objective.TARDINESS:
         _check_tardiness_ladder(cfg, args.m)

@@ -31,6 +31,12 @@ feasible region is that of the row for every edge and every t:
 
 Rounding and evaluation still enforce the full edge set.
 
+``LpModel`` keeps the structure of these rows: ``load`` (n x m, the machine
+time ``rho_i / sigma_j``), ``src`` and ``dst`` (the job positions of each
+reduced edge) and ``first`` (per job, its first interval with an unpinned
+column), with T from the grid.  ``rows`` is derived from them, and
+:func:`lp_dump` writes the rows from them, never reading ``rows``.
+
 ``build_lp`` also finds the vertex of a greedy list schedule, kept as
 ``LpModel.start``, and :func:`solve_lp` starts the simplex there.  Job i runs
 at the speed index j_i minimising its energy plus the total weight times its
@@ -88,6 +94,10 @@ class LpModel:
     upper: np.ndarray        # 1.0, or 0.0 for pinned columns
     rows: tuple
     start: np.ndarray        # (n,) the list-schedule column of each job, basic on its assign row
+    load: np.ndarray         # (n, m) rho_i / sigma_j, each capacity row's value on (i, j, t)
+    src: np.ndarray          # (E,) intp position of each reduced edge's predecessor
+    dst: np.ndarray          # (E,) intp position of its successor
+    first: np.ndarray        # (n,) each job's first interval with an unpinned column
 
     @property
     def ncols(self) -> int:
@@ -139,7 +149,8 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     first = job_free.argmax(axis=1) + 1     # first interval with an unpinned column
     pos = {job.id: i for i, job in enumerate(jobs)}
     edges = instance.precedence.reduced_edges
-    src, dst = [pos[a] for a, _ in edges], [pos[b] for _, b in edges]
+    src = np.array([pos[a] for a, _ in edges], dtype=np.intp)
+    dst = np.array([pos[b] for _, b in edges], dtype=np.intp)
     # prec row t of edge (a, b) is pair[:, :, :t] flattened, with pair the
     # (m, T, 2) stack of a's and b's columns
     pair = np.stack([block[src], block[dst]], axis=-1)
@@ -157,12 +168,12 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     rank = (instance.due if instance.objective is Objective.TARDINESS else -weight / p).tolist()
     completion = np.zeros(n)
     prev = 0.0
-    for i in priority_order(range(n), zip(src, dst), key=rank.__getitem__):
+    for i in priority_order(range(n), zip(src.tolist(), dst.tolist()), key=rank.__getitem__):
         prev = completion[i] = max(release[i], prev) + p[i]
     t = np.minimum(np.searchsorted(tau[1:], completion) + 1, T)
     start = block[np.arange(n), speed, t - 1]
 
-    return LpModel(instance, grid, obj, upper, tuple(rows), start)
+    return LpModel(instance, grid, obj, upper, tuple(rows), start, load, src, dst, first)
 
 
 def _flat(cols, vals):
@@ -220,85 +231,73 @@ def _max_residual(A, senses, b, x) -> float:
     return float(violation.max(initial=0.0))
 
 
-def _distinct(keys: np.ndarray):
-    """The distinct keys in ascending order, and each key's index among them.
-
-    ``np.unique(keys, return_inverse=True)`` gives the same, but it argsorts
-    the keys and takes about 1.7 times as long on an n = 40 dump's keys.
-    """
-    ordered = np.sort(keys)
-    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-    return distinct, np.searchsorted(distinct, keys)
-
-
-def _row_bodies(cols, vals, names: np.ndarray):
-    """The term index of the rows with ``cols`` and ``vals``: every row's
-    length, a table of the distinct terms `` {v:+.12g} <name>``, and each
-    nonzero's cell in that table, rows end to end.
-
-    The table has a cell per distinct value and column, term (v, c) in cell
-    ``v * ncols + c``: a nonzero finds its term by arithmetic, with no search
-    over the nonzeros, and only the cells some nonzero marks are formatted.
-    Values are told apart by their bit pattern, so ``-0.0`` prints ``-0``
-    and ``0.0`` prints ``+0``.  An LP of ``build_lp`` has at most n m + 2 of
-    them (the loads, 1 and -1), so the table stays small.
-    """
-    lengths, cols, vals = _flat(cols, vals)
-    bits, value_id = _distinct(vals.view(np.int64))
-    values = np.array([f" {v:+.12g} " for v in bits.view(np.float64).tolist()], dtype=object)
-    cell = value_id * len(names) + cols
-    table = np.empty(len(bits) * len(names), dtype=object)
-    marked = np.zeros(table.size, dtype=bool)
-    marked[cell] = True
-    value_of, col_of = np.divmod(np.flatnonzero(marked), len(names))
-    table[marked] = values[value_of] + names[col_of]
-    return lengths, table, cell
+def _lines(labels, strings, ends, tails):
+    """Row r's pieces, row after row: ``labels[r]``, then ``strings[r, j][:ends[r, j]]``
+    for each j, then ``tails[r]``; ``strings`` and ``ends`` are (rows, k) arrays."""
+    cut = [s[:e] for s, e in zip(strings.ravel().tolist(), ends.ravel().tolist())]
+    k = strings.shape[1]
+    columns = [labels, *(cut[j::k] for j in range(k)), tails]
+    pieces = [None] * sum(map(len, columns))
+    for c, column in enumerate(columns):
+        pieces[c::len(columns)] = column
+    return pieces
 
 
 def lp_dump(model: LpModel) -> str:
     """Human-readable text form: one line per row, named columns x_<id>_<j>_<t>.
 
-    Each distinct row term (indexed by :func:`_row_bodies`), each distinct
-    row tail (sense and right-hand side) and each distinct upper bound is
-    formatted once.  Numbers are keyed by bit pattern: ``-0.0 == 0.0``, yet
-    they print ``-0`` and ``0``.  The text is one join over its pieces: the
-    objective, each row's label, terms and tail, and a bound line per column.
+    The rows are written from the structure (module docstring), never from
+    ``model.rows``.  Each term is formatted with its trailing space.  Every
+    (i, j) block's T capacity terms ``{load:+.12g} x_<id>_<j>_<t>`` are joined
+    once, and so is, per reduced edge and speed, the run of T pairs of a
+    ``+1`` predecessor and a ``-1`` successor term.  A capacity row t is then
+    the t-prefix of every block and a prec row (a, b, t) the t-prefix of each
+    of its edge's runs, the prefix ends being cumulative sums of term
+    lengths.  Bounds are formatted once per bit pattern: ``-0.0 == 0.0``, yet
+    they print ``-0`` and ``0``.
     """
-    m, T = model.instance.speedset.m, model.grid.T
+    n, m, T = *model.load.shape, model.grid.T
+    ids = [job.id for job in model.instance.jobs]
     suffixes = np.array([f"{j}_{t}" for j in range(1, m + 1) for t in range(1, T + 1)],
                         dtype=object)
-    prefixes = np.array([f"x_{job.id}_" for job in model.instance.jobs], dtype=object)
-    names = (prefixes[:, None] + suffixes).ravel()
+    names = (np.array([f"x_{i}_" for i in ids], dtype=object)[:, None] + suffixes).ravel()
+    name_len = np.fromiter(map(len, names), dtype=np.intp, count=names.size).reshape(n, m, T)
 
     nonzero = np.flatnonzero(model.objective)
     terms = [None] * (2 * nonzero.size)
     terms[::2] = model.objective[nonzero].tolist()
     terms[1::2] = names[nonzero].tolist()
-    objective = " ".join(["%+.12g %s"] * nonzero.size) % tuple(terms)
+    pieces = ["minimize\n  " + " ".join(["%+.12g %s"] * nonzero.size) % tuple(terms)
+              + "\nsubject to\n"]
+    pieces += [f"  assign_{i}: +1 " + " +1 ".join(block) + " = 1\n"
+               for i, block in zip(ids, names.reshape(n, m * T).tolist())]
 
-    kinds, keys, cols, vals, senses, rhs = zip(*model.rows)
-    lengths, table, cell = _row_bodies(cols, vals, names)
-    labels = {k: "  %s_" + "_".join(["%s"] * k) + ":" for k in set(map(len, keys))}
-    tail_keys = list(zip(senses, np.array(rhs, dtype=float).view(np.int64).tolist()))
-    tails = {key: f" {key[0]} {value:.12g}\n"
-             for key, value in dict(zip(tail_keys, rhs)).items()}
-    bounds, bound_id = _distinct(model.upper.view(np.int64))
-    upper = np.array([f" <= {hi:.12g}\n" for hi in bounds.view(np.float64).tolist()],
+    loads = [f"{v:+.12g} " for v in model.load.ravel().tolist()]
+    blocks = np.array([v + (" " + v).join(block) + " "
+                       for v, block in zip(loads, names.reshape(n * m, T).tolist())], dtype=object)
+    ends = np.cumsum(name_len.reshape(n * m, T) + [[len(v) + 1] for v in loads], axis=1)
+    pieces += _lines([f"  capacity_{t}: " for t in range(1, T + 1)],
+                     np.broadcast_to(blocks, (T, n * m)), ends.T,
+                     [f"<= {tau:.12g}\n" for tau in model.grid.tau[1:]])
+
+    # an edge's run at speed j: "+1 <a's name> -1 <b's name> " for t = 1..T
+    head, tail = ("+1 " + names + " -1 ").reshape(n, m, T), (names + " ").reshape(n, m, T)
+    runs = np.stack([head[model.src], tail[model.dst]], axis=-1).reshape(-1, 2 * T).tolist()
+    runs = np.array(list(map("".join, runs)), dtype=object).reshape(-1, m)
+    ends = np.cumsum(name_len[model.src] + name_len[model.dst] + 8, axis=2)
+    # prec row k is edge[k]'s at interval t[k], t running from the successor's first
+    count = T - model.first[model.dst]
+    edge = np.repeat(np.arange(count.size), count)
+    t = np.arange(edge.size) + np.repeat(T - np.cumsum(count), count)
+    labels = np.array([f"  prec_{ids[a]}_{ids[b]}_" for a, b in
+                       zip(model.src.tolist(), model.dst.tolist())], dtype=object)
+    t_labels = np.array([f"{t}: " for t in range(T)], dtype=object)
+    pieces += _lines((labels[edge] + t_labels[t]).tolist(), runs[edge],
+                     ends[edge, :, t - 1], [">= 0\n"] * edge.size)
+
+    bits, bound_id = np.unique(model.upper.view(np.int64), return_inverse=True)
+    upper = np.array([f" <= {hi:.12g}\n" for hi in bits.view(np.float64).tolist()],
                      dtype=object)
-
-    # the objective; per row its label, terms and tail; "bounds"; a line per column
-    ends = np.cumsum(lengths + 2)           # each row's tail
-    starts = ends - lengths - 1             # each row's label
-    pieces = np.empty(ends[-1] + 2 + len(names), dtype=object)
-    pieces[0] = "minimize\n  " + objective + "\nsubject to\n"
-    is_term = np.zeros(pieces.size, dtype=bool)
-    is_term[1:ends[-1]] = True
-    is_term[starts] = is_term[ends] = False
-    pieces[is_term] = table[cell]
-    # a row with no terms keeps both spaces around its empty body
-    pieces[starts] = [labels[len(key)] % (kind, *key) + " " * (not length)
-                      for kind, key, length in zip(kinds, keys, lengths.tolist())]
-    pieces[ends] = list(map(tails.__getitem__, tail_keys))
-    pieces[ends[-1] + 1] = "bounds\n"
-    pieces[ends[-1] + 2:] = ("  0 <= " + names) + upper[bound_id]
-    return "".join(pieces.tolist())
+    pieces.append("bounds\n")
+    pieces += (("  0 <= " + names) + upper[bound_id]).tolist()
+    return "".join(pieces)

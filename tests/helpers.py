@@ -72,6 +72,19 @@ def highs_objective(model):
     return ref.fun
 
 
+#: sha256 of ``reference_lp_dump(build_lp(...))`` for ``generate(seed, 40, 3,
+#: edge_density=0.3)`` by energy kind and seed, recorded before the rows were
+#: built from one edge array.  The dump-against-reference test reads one model
+#: on both sides, so only a pinned digest catches a change in the LP itself;
+#: ``lp-dump``'s stdout on these instances is pinned to the same digests.
+BUILD_LP_DIGESTS = {
+    ("poly", 0): "fd5f320df76a16a9ec73fcb5679ca8abe6d91ea0512193b2418150505f65acf6",
+    ("poly", 1): "601fc7654d7b163374d1fcd7fc8c9db912ab8486a1cb3a85160767e0fb07c0df",
+    ("table", 0): "156e485ec185a3cd216e48ed06769835d8ddd2aa5a6394e38bca0ba83e3f8586",
+    ("table", 1): "99aea40de96b4f5b6689d023fec3cad5c8a519497716b40f2b5893c64f67755b",
+}
+
+
 def reference_lp_dump(model):
     """The text ``lp.lp_dump`` must give byte for byte: one f-string per term."""
     m, T = model.instance.speedset.m, model.grid.T

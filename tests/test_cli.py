@@ -24,6 +24,8 @@ from energysched.instance import (
     to_dict,
 )
 
+from helpers import BUILD_LP_DIGESTS
+
 N_CAP, M_CAP = oracle.DEFAULT_CAPS
 
 
@@ -294,6 +296,16 @@ def test_lp_dump_to_file(inst_path, tmp_path, capsys):
     assert "assign_1:" in text
 
 
+@pytest.mark.parametrize("kind, seed", BUILD_LP_DIGESTS)
+def test_lp_dump_stdout_is_pinned(kind, seed, tmp_path, capsys):
+    # load, grid, build and dump end to end, from an instance file
+    path = tmp_path / "inst.json"
+    save(generate(seed, 40, 3, GeneratorConfig(edge_density=0.3, energy_kind=kind)), path)
+    rc, out, err = run_cli(capsys, "lp-dump", str(path))
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BUILD_LP_DIGESTS[kind, seed]
+
+
 def test_ids_past_int64_dump_and_solve(tmp_path, capsys):
     # the edge (-3, 10**20) is implied by -3 -> 7 -> 10**20, so the reduction
     # must tell ids apart that no int64 holds
@@ -388,11 +400,17 @@ def test_perf_sweep_that_raises_leaves_no_record(tmp_path, capsys, monkeypatch):
     ("--vary-n --n 0 --count 2", "--n must be at least 1, got 0"),
     ("--n -3", "--n must be at least 1, got -3"),
     ("--count -1", "--count must be at least 0, got -1"),
+    ("--seed -1", "--seed must be at least 0, got -1"),
 ])
 def test_bench_refuses_counts_it_cannot_use(flags, message, capsys, monkeypatch):
     monkeypatch.setattr(cli.instance_mod, "generate", None)     # no instance is built
     rc, out, err = run_cli(capsys, "bench", *flags.split())
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_gen_refuses_a_negative_seed(capsys):
+    rc, out, err = run_cli(capsys, "gen", "--seed", "-1", "--n", "3", "--m", "2")
+    assert (rc, out, err) == (2, "", "error: --seed must be at least 0, got -1\n")
 
 
 #: an instance file's text, and the message after ``error:``; ``{path}`` is the file's path

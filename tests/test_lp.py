@@ -21,7 +21,14 @@ from energysched import (
 from energysched.instance import GeneratorConfig, generate
 from energysched.lp import build_lp, constraint_arrays, start_basis
 
-from helpers import col, highs_objective, interval_of, reference_list_schedule, reference_lp_dump
+from helpers import (
+    BUILD_LP_DIGESTS,
+    col,
+    highs_objective,
+    interval_of,
+    reference_list_schedule,
+    reference_lp_dump,
+)
 
 
 def one_job_instance():
@@ -456,51 +463,55 @@ def test_model_with_dropped_prec_rows_solves_to_its_own_optimum(family, keep):
 
 
 def _edge_value_model():
-    """An n = 2, m = 2 model whose hand-built rows carry 0.0, -0.0, two values
-    equal to 12 significant digits, and leave column 0 in no row."""
+    """An n = 2, m = 2 model whose objective and bounds carry 0.0, -0.0 and
+    two values equal to 12 significant digits; the dump reads both fields."""
     inst = generate(2, 2, 2, GeneratorConfig(edge_density=1.0))
     model = build_lp(inst, build_grid(inst))
     near = 0.1234567890123
-    rows = (
-        es.lp.Row("assign", (1,), np.array([1, 2, 3]), np.array([0.0, -0.0, 1.0]), "=", 1.0),
-        es.lp.Row("capacity", (1,), np.array([1, 2, 1]), np.array([near, near + 1e-14, -0.0]),
-                  "<=", near),
-        es.lp.Row("prec", (1, 2, 1), np.array([3, 2, 3]), np.array([near, 0.0, -1.0]), ">=", -0.0),
-    )
-    upper = model.upper.copy()
+    objective, upper = model.objective.copy(), model.upper.copy()
+    objective[:5] = [0.0, -0.0, near, near + 1e-14, -near]
     upper[:3] = [-0.0, 0.5, near]
-    assert model.ncols > 4
-    return dataclasses.replace(model, rows=rows, upper=upper)
+    assert model.ncols > 5
+    return dataclasses.replace(model, objective=objective, upper=upper)
 
 
 def _signed_zero_model():
-    """Two ">=" rows with right-hand sides -0.0 and 0.0 and both zeros among
-    the upper bounds: ``-0.0 == 0.0``, so a tail or bound formatted once per
-    float value prints one of each pair wrong."""
+    """Both zeros among the objective coefficients and the upper bounds:
+    ``-0.0 == 0.0``, so a term left out or a bound formatted once per float
+    value treats one of each pair wrong."""
     inst = generate(2, 2, 2, GeneratorConfig(edge_density=1.0))
     model = build_lp(inst, build_grid(inst))
-    rows = (
-        es.lp.Row("prec", (1, 2, 8), np.array([0, 1]), np.array([1.0, -1.0]), ">=", -0.0),
-        es.lp.Row("prec", (1, 2, 9), np.array([2, 3]), np.array([1.0, -1.0]), ">=", 0.0),
-    )
-    upper = model.upper.copy()
+    objective, upper = model.objective.copy(), model.upper.copy()
+    objective[::3] = -0.0
+    objective[1::3] = 0.0
     upper[:4] = [-0.0, 0.0, -0.0, 0.0]
-    return dataclasses.replace(model, rows=model.rows + rows, upper=upper)
+    return dataclasses.replace(model, objective=objective, upper=upper)
 
 
 def _many_values_model():
-    """Rows with more distinct values than the model has columns, and a row
-    with no terms."""
+    """An objective and bounds with a distinct value per column."""
     inst = generate(2, 2, 2, GeneratorConfig(edge_density=1.0))
     model = build_lp(inst, build_grid(inst))
     rng = np.random.default_rng(3)
-    cols = rng.integers(0, model.ncols, (4, model.ncols))
-    vals = rng.uniform(-5.0, 5.0, cols.shape)
-    rows = tuple(es.lp.Row("capacity", (k + 1,), c, v, "<=", 2.5) for k, (c, v) in
-                 enumerate(zip(cols, vals)))
-    empty = es.lp.Row("assign", (7,), np.array([], dtype=int), np.array([]), "=", 1.0)
-    assert np.unique(vals).size > model.ncols
-    return dataclasses.replace(model, rows=model.rows[:2] + rows + (empty,))
+    objective, upper = rng.uniform(-5.0, 5.0, (2, model.ncols))
+    assert np.unique(upper).size == model.ncols
+    return dataclasses.replace(model, objective=objective, upper=upper)
+
+
+def _late_successor_models():
+    """A chain 1 -> 2 -> 3 whose job 3 is released so late that its first
+    unpinned column is at t = T: the edge (2, 3) gets no prec row."""
+    models = []
+    for seed in range(3):
+        inst = generate(seed, 3, 2, GeneratorConfig(edge_density=1.0))
+        jobs = tuple(dataclasses.replace(job, release=1000.0) if job.id == 3 else job
+                     for job in inst.jobs)
+        inst = dataclasses.replace(inst, jobs=jobs)
+        models.append(build_lp(inst, build_grid(inst)))
+        assert models[-1].first[2] == models[-1].grid.T
+        assert (2, 3) in models[-1].instance.precedence.reduced_edges
+        assert not any(row.key[:2] == (2, 3) for row in models[-1].rows if row.kind == "prec")
+    return models
 
 
 def _tardiness_n40_models():
@@ -518,42 +529,48 @@ def _tardiness_n40_models():
     return models
 
 
+#: generated dump families by name: (n, m, GeneratorConfig), two seeds each
+GENERATED_DUMPS = {
+    "n40-poly": (40, 3, GeneratorConfig(edge_density=0.3)),
+    "n40-table": (40, 3, GeneratorConfig(edge_density=0.3, energy_kind="table")),
+    "n40-releases": (40, 3, GeneratorConfig(edge_density=0.3, release_max=20.0)),
+    "n40-d0": (40, 3, GeneratorConfig(edge_density=0.0)),
+    "n40-d1": (40, 3, GeneratorConfig(edge_density=1.0)),
+    "m1": (9, 1, GeneratorConfig(edge_density=0.3, release_max=5.0)),
+}
+
+HAND_MADE_DUMPS = {
+    "edge-values": lambda: [_edge_value_model()],
+    "signed-zeros": lambda: [_signed_zero_model()],
+    "many-values": lambda: [_many_values_model()],
+    "late-successor": _late_successor_models,
+    "n40-tardiness": _tardiness_n40_models,
+}
+
+
 def _dump_models(case):
     if case in START_FAMILIES:
         return [model for _, _, model in _start_cases(case)]
-    if case == "edge-values":
-        return [_edge_value_model()]
-    if case == "signed-zeros":
-        return [_signed_zero_model()]
-    if case == "many-values":
-        return [_many_values_model()]
-    if case == "n40-tardiness":
-        return _tardiness_n40_models()
-    kind = case.removeprefix("n40-")
-    return [
-        build_lp(inst, build_grid(inst))
-        for inst in (generate(seed, 40, 3, GeneratorConfig(edge_density=0.3, energy_kind=kind))
-                     for seed in range(2))
-    ]
+    if case in HAND_MADE_DUMPS:
+        return HAND_MADE_DUMPS[case]()
+    n, m, cfg = GENERATED_DUMPS[case]
+    return [build_lp(inst, build_grid(inst))
+            for inst in (generate(seed, n, m, cfg) for seed in range(2))]
 
 
-@pytest.mark.parametrize("case", [*START_FAMILIES, "n40-poly", "n40-table", "edge-values",
-                                  "signed-zeros", "many-values", "n40-tardiness"])
+DUMP_CASES = [*START_FAMILIES, *GENERATED_DUMPS, *HAND_MADE_DUMPS]
+
+
+@pytest.mark.parametrize("case", DUMP_CASES)
 def test_lp_dump_is_byte_identical_to_the_reference(case):
     for model in _dump_models(case):
         assert lp_dump(model) == reference_lp_dump(model)
 
 
-#: sha256 of ``reference_lp_dump(build_lp(...))`` for ``generate(seed, 40, 3,
-#: edge_density=0.3)`` by energy kind and seed, recorded before the rows were
-#: built from one edge array.  The test above reads the same rows on both
-#: sides, so only a pinned digest catches a change in the rows themselves.
-BUILD_LP_DIGESTS = {
-    ("poly", 0): "fd5f320df76a16a9ec73fcb5679ca8abe6d91ea0512193b2418150505f65acf6",
-    ("poly", 1): "601fc7654d7b163374d1fcd7fc8c9db912ab8486a1cb3a85160767e0fb07c0df",
-    ("table", 0): "156e485ec185a3cd216e48ed06769835d8ddd2aa5a6394e38bca0ba83e3f8586",
-    ("table", 1): "99aea40de96b4f5b6689d023fec3cad5c8a519497716b40f2b5893c64f67755b",
-}
+@pytest.mark.parametrize("case", DUMP_CASES)
+def test_lp_dump_reads_the_structure_not_the_rows(case):
+    for model in _dump_models(case):
+        assert lp_dump(dataclasses.replace(model, rows=())) == lp_dump(model)
 
 
 @pytest.mark.parametrize("kind, seed", BUILD_LP_DIGESTS)
