@@ -25,7 +25,7 @@ assert es.validate(inst) == []
 
 print("== time grid ==")
 grid = es.build_grid(inst)
-print(f"kappa = {grid.kappa:.4g}, T = {grid.T} intervals, "
+print(f"kappa = {grid.tau[0]:.4g}, T = {grid.T} intervals, "
       f"horizon tau_T = {grid.tau[-1]:.4g}")
 print("interval upper bounds:", [round(u, 3) for u in grid.tau[1:]])
 

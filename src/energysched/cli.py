@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import platform
 import sys
@@ -103,15 +104,23 @@ def _check_tardiness_ladder(cfg: GeneratorConfig, m: int) -> None:
     (1 + delta)**(m - 1); ``check_speed_range`` refuses every instance whose
     ladder falls below gamma.
     """
+    def spanned(ratio: float) -> float:
+        """``ratio**(m - 1)``, or ``inf`` past the float range: a ladder up there fails in
+        ``generate``, with a message of its own."""
+        try:
+            return ratio ** (m - 1)
+        except OverflowError:
+            return math.inf
+
     alpha = cfg.alpha if cfg.alpha is not None else instance_mod.default_alpha(cfg.objective, False)
-    gamma, span = rounding.tardiness_gamma(cfg.epsilon, alpha), (1 + cfg.delta) ** (m - 1)
+    gamma, span = rounding.tardiness_gamma(cfg.epsilon, alpha), spanned(1 + cfg.delta)
     if gamma * (1 - 1e-12) > span:
         raise ValueError(
             f"--objective tardiness needs speeds spanning gamma = {gamma:g}, but --m {m} "
             f"and --delta {cfg.delta:g} give speed ladders spanning at most "
             f"(1 + delta)**(m - 1) = {span:g}; raise --m or --delta"
         )
-    narrowest = (1 + cfg.delta / 2) ** (m - 1)
+    narrowest = spanned(1 + cfg.delta / 2)
     if gamma * (1 - 1e-12) > narrowest:
         print(f"warning: --m {m} and --delta {cfg.delta:g} give speed ladders spanning "
               f"from (1 + delta/2)**(m - 1) = {narrowest:g} to (1 + delta)**(m - 1) = "

@@ -185,7 +185,7 @@ def priority_order(items: Sequence, edges, key=lambda item: 0) -> list:
 
 def _job_numbers(job: Job) -> dict:
     """A job's real-valued fields, energy parameters included, by name."""
-    numbers = {"weight": job.weight, "release": job.release, "deadline": job.deadline}
+    numbers = {name: getattr(job, name) for name, read in _JOB_FIELDS.items() if read is _real}
     if isinstance(job.energy, PolynomialEnergy):
         numbers.update({"energy v": job.energy.v, "energy beta": job.energy.beta})
     else:
@@ -255,7 +255,7 @@ def validate(instance: Instance) -> list:
         report.append(f"epsilon must be positive, got {instance.epsilon}")
     if instance.beta < 2:
         report.append(f"beta must be >= 2, got {instance.beta}")
-    if instance.objective is Objective.TARDINESS and any(j.release > 0 for j in instance.jobs):
+    if instance.objective is Objective.TARDINESS and instance.has_releases:
         report.append("tardiness objective requires all release dates to be 0")
     if not report:                  # the reduction, the grid and the energy costs need valid fields
         try:                        # each kept for every later stage; a build that raises keeps nothing
@@ -281,7 +281,6 @@ class ParseError(ValueError):
     """Raised when an instance file is malformed."""
 
 
-_JOB_FIELDS = {"id", "rho", "weight", "release", "deadline", "energy"}
 _TOP_FIELDS = {"jobs", "speeds", "delta", "edges", "objective", "alpha", "epsilon", "beta"}
 
 
@@ -320,17 +319,8 @@ def _energy_to_dict(e: EnergyCostDescriptor) -> dict:
 
 def to_dict(instance: Instance) -> dict:
     return {
-        "jobs": [
-            {
-                "id": j.id,
-                "rho": j.rho,
-                "weight": j.weight,
-                "release": j.release,
-                "deadline": j.deadline,
-                "energy": _energy_to_dict(j.energy),
-            }
-            for j in instance.jobs
-        ],
+        "jobs": [{**{name: getattr(j, name) for name in _JOB_FIELDS},
+                  "energy": _energy_to_dict(j.energy)} for j in instance.jobs],
         "speeds": list(instance.speedset.speeds),
         "delta": instance.speedset.delta,
         "edges": [list(e) for e in instance.precedence.edges],
@@ -355,6 +345,12 @@ def _real(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"must be a number, got {json.dumps(value)}")
     return float(value)
+
+
+#: A job in an instance file: each key of a ``Job`` field with its conversion,
+#: in file order, then ``energy``; ``release`` and ``deadline`` may be left out.
+_JOB_FIELDS = {"id": _integer, "rho": _integer, "weight": _real, "release": _real,
+               "deadline": _real}
 
 
 def _edge(pair) -> tuple:
@@ -388,22 +384,13 @@ def from_dict(data: dict) -> Instance:
     for k, jd in enumerate(data["jobs"]):
         if not isinstance(jd, dict):
             raise ParseError(f"jobs[{k}] must be an object")
-        extra = set(jd) - _JOB_FIELDS
+        extra = set(jd) - {*_JOB_FIELDS, "energy"}
         if extra:
             raise ParseError(f"jobs[{k}]: unknown fields {sorted(extra)}")
-        def conv(name, fn, default=None):
-            return _field(f"jobs[{k}]: ", name, fn, jd.get(name, default))
-
-        jobs.append(
-            Job(
-                id=conv("id", _integer),
-                rho=conv("rho", _integer),
-                weight=conv("weight", _real),
-                release=conv("release", _real, Job.release),
-                deadline=conv("deadline", _real, Job.deadline),
-                energy=_energy_from_dict(jd.get("energy"), jd.get("id", k)),
-            )
-        )
+        # a left-out field takes Job's default; one without a default is null, which is refused
+        fields = {name: _field(f"jobs[{k}]: ", name, read, jd.get(name, getattr(Job, name, None)))
+                  for name, read in _JOB_FIELDS.items()}
+        jobs.append(Job(**fields, energy=_energy_from_dict(jd.get("energy"), jd.get("id", k))))
 
     try:
         objective = Objective(data["objective"])
@@ -458,6 +445,9 @@ class GeneratorConfig:
             raise ValueError(f"edge_density must be in [0, 1], got {self.edge_density}")
         if self.rho_max < 1:
             raise ValueError(f"rho_max must be positive, got {self.rho_max}")
+        top = np.iinfo(np.int64).max        # generate draws rho as an int64 below rho_max + 1
+        if self.rho_max > top:
+            raise ValueError(f"rho_max must be at most {top}, got {self.rho_max}")
         for name in ("release_max", "deadline_max"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, "

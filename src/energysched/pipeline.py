@@ -36,7 +36,6 @@ def theoretical_bound(instance: Instance) -> float:
 class PipelineResult:
     instance: Instance
     grid: "timegrid.TimeGrid"
-    model: "lp.LpModel"
     solution: "lp.LpSolution"
     schedule: "evaluate.Schedule"
     report: dict
@@ -85,8 +84,7 @@ def run(instance: Instance, with_oracle: bool = False,
     if with_oracle:
         oracle.check_size(instance, *oracle_caps)
 
-    model = lp.build_lp(instance, instance.grid)
-    solution = lp.solve_lp(model)
+    solution = lp.solve_lp(lp.build_lp(instance, instance.grid))
     schedule = (rounding.saias_t if tardy else rounding.saias)(instance, solution)
 
     lp_bound = solution.objective
@@ -105,7 +103,7 @@ def run(instance: Instance, with_oracle: bool = False,
         exact = oracle.brute_force(instance, *oracle_caps)
         report["oracle_cost"] = exact.cost
         report["ratio_vs_oracle"] = schedule.cost / exact.cost if exact.cost > 0 else 1.0
-    return PipelineResult(instance, instance.grid, model, solution, schedule, report)
+    return PipelineResult(instance, instance.grid, solution, schedule, report)
 
 
 def schedule_to_dict(result: PipelineResult) -> dict:

@@ -255,7 +255,6 @@ class _Kernel:
         self.dsign = row_sign.copy()
         self.cB = np.empty(cap)
         self.y = np.zeros(nrows)
-        self.wr = np.empty(nrows)        # a - A[:, J] w_J of the last FTRAN
         self.yK = np.empty(cap)
         # by slot: the basic column, its value and upper bound, the FTRAN
         # column, and the ratio test's scratch
@@ -287,13 +286,13 @@ class _Kernel:
         return x
 
     def ftran(self, a):
-        """Fill ``w = B^-1 a`` by slot, and ``wr = a - A[:, J] w_J``."""
-        r, k, wr = self.nrows, self.k, self.wr
+        """Fill ``w = B^-1 a`` by slot: ``w_L = D (a - A[:, J] w_J)`` on the logical slots."""
+        r, k, wL = self.nrows, self.k, self.wL
         wJ = self.w[r:r + k]
         np.matmul(self.inv, a[self.rows[:k]], out=wJ)
-        np.matmul(wJ, self.AJt[:k], out=wr)
-        np.subtract(a, wr, out=wr)
-        np.multiply(self.dsign, wr, out=self.wL)
+        np.matmul(wJ, self.AJt[:k], out=wL)
+        np.subtract(a, wL, out=wL)
+        np.multiply(self.dsign, wL, out=wL)
 
     def btran(self) -> np.ndarray:
         """The duals ``y = c_B B^-1``; zero off the kernel rows."""
@@ -334,7 +333,7 @@ class _Kernel:
         np.subtract(self.xB, np.multiply(self.w, t, out=self.num), out=self.xB)
 
     def change(self, slot, q, a, xq):
-        """Column ``q`` (dense column ``a``, with ``w, wr`` from :meth:`ftran`)
+        """Column ``q`` (dense column ``a``, with ``w`` from :meth:`ftran`)
         replaces the basic of ``slot`` and takes the value ``xq``."""
         r, k, ncols, inv = self.nrows, self.k, self.ncols, self.inv
         wJ = self.w[r:r + k]
@@ -369,7 +368,7 @@ class _Kernel:
             self._enter_slack(i, q, qsign, xq)
         elif q < ncols:                          # structural for the slack of row l
             l = slot
-            s = self.wr[l]
+            s = self.dsign[l] * self.w[l]        # a_l - A[l, J] w_J: D = +-1 on a slack's row
             zs = np.matmul(self.AJt[:k, l], inv) / s
             inv += np.multiply.outer(wJ, zs)
             grown = self.inv = np.empty((k + 1, k + 1))

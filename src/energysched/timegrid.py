@@ -2,10 +2,11 @@
 
 The horizon is cut into geometrically growing intervals.  The first interval
 is the closed singleton ``[kappa, kappa]`` where ``kappa = rho_min / sigma_max``
-is the earliest any job can complete; interval ``t >= 2`` is the half-open
-``(tau_{t-1}, tau_t]`` with ``tau_t = kappa * (1 + epsilon)**(t-1)``.  The grid
-extends just far enough to hold every job at the slowest speed after the last
-release, and to at most ``MAX_INTERVALS`` intervals: a finer grid is refused.
+is the earliest any job can complete; the grid keeps it as ``tau[0]``.
+Interval ``t >= 2`` is the half-open ``(tau_{t-1}, tau_t]`` with
+``tau_t = kappa * (1 + epsilon)**(t-1)``.  The grid extends just far enough to
+hold every job at the slowest speed after the last release, and to at most
+``MAX_INTERVALS`` intervals: a finer grid is refused.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    kappa: float
     tau: tuple       # boundaries tau[0] .. tau[T]; tau[0] == tau[1] == kappa
 
     @property
@@ -55,4 +55,4 @@ def build_grid(instance: Instance) -> TimeGrid:
                 f"{MAX_INTERVALS} intervals; use a larger epsilon"
             )
         tau.append(tau[-1] * (1 + instance.epsilon))
-    return TimeGrid(kappa=kappa, tau=tuple(tau))
+    return TimeGrid(tuple(tau))

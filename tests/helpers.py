@@ -194,11 +194,11 @@ def reference_brute_force(instance):
 
 def interval_of(grid, time: float) -> int:
     """Index t of the interval containing ``time``; ``time == kappa`` maps to 1."""
-    if time < grid.kappa * (1 - 1e-12) or time > grid.tau[-1] * (1 + 1e-12):
+    if time < grid.tau[0] * (1 - 1e-12) or time > grid.tau[-1] * (1 + 1e-12):
         raise ValueError(
-            f"time {time} outside grid range [{grid.kappa}, {grid.tau[-1]}]"
+            f"time {time} outside grid range [{grid.tau[0]}, {grid.tau[-1]}]"
         )
-    if time <= grid.kappa:
+    if time <= grid.tau[0]:
         return 1
     # smallest t >= 2 with time <= tau[t]
     t = bisect_left(grid.tau, time, lo=2)

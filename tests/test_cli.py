@@ -413,6 +413,22 @@ def test_gen_refuses_a_negative_seed(capsys):
     assert (rc, out, err) == (2, "", "error: --seed must be at least 0, got -1\n")
 
 
+def test_bench_refuses_a_tardiness_ladder_past_the_float_range(capsys):
+    # (1 + delta)**(m - 1) overflowed in the ladder check, with a traceback and exit 1
+    rc, out, err = run_cli(capsys, "bench", "--count", "1", "--n", "2", "--m", "6",
+                           "--objective", "tardiness", "--delta", "1e200")
+    assert (rc, out, err) == (2, "", "error: invalid instance: speeds must be finite, got "
+                                     "[1.0, 7.559108123501283e+199, inf, inf, inf, inf]; "
+                                     "speeds must be strictly increasing\n")
+
+
+def test_gen_refuses_a_rho_max_past_int64(capsys):
+    rc, out, err = run_cli(capsys, "gen", "--seed", "1", "--n", "3", "--m", "2",
+                           "--rho-max", "100000000000000000000")
+    assert (rc, out, err) == (2, "", "error: rho_max must be at most 9223372036854775807, "
+                                     "got 100000000000000000000\n")
+
+
 #: an instance file's text, and the message after ``error:``; ``{path}`` is the file's path
 MALFORMED = {
     "missing fields": ('{"jobs": "nope"}', "missing fields ['alpha', 'beta', 'delta', 'edges', "

@@ -251,6 +251,20 @@ def test_roundtrip_identity(tmp_path):
     assert load(path) == inst
 
 
+def test_the_file_holds_every_job_field_in_order():
+    jobs = (Job(1, 2, 1.5, release=0.5), Job(2, 1, 2.0, energy=TableEnergy((1.0, 4.0))))
+    inst = minimal_instance(jobs=jobs, speedset=SpeedSet((1.0, 1.9), 1.0))
+    for job in to_dict(inst)["jobs"]:
+        assert list(job) == [f.name for f in dataclasses.fields(Job)]
+    d = to_dict(inst)
+    del d["jobs"][0]["release"], d["jobs"][0]["deadline"]
+    assert from_dict(d).jobs[0] == Job(1, 2, 1.5)     # release and deadline at the defaults
+    del d["jobs"][0]["weight"]
+    with pytest.raises(ParseError, match=re.escape("jobs[0]: field 'weight': must be a number, "
+                                                   "got null")):
+        from_dict(d)
+
+
 def test_malformed_field_names_field(tmp_path):
     path = tmp_path / "bad.json"
     inst = minimal_instance()
@@ -294,6 +308,8 @@ def test_generate_single_job():
 BAD_GENERATOR = {
     "edge_density must be in [0, 1], got 1.5": lambda: GeneratorConfig(edge_density=1.5),
     "rho_max must be positive, got 0": lambda: GeneratorConfig(rho_max=0),
+    "rho_max must be at most 9223372036854775807, got 9223372036854775808":
+        lambda: GeneratorConfig(rho_max=2**63),
     "unknown energy kind 'cubic'": lambda: GeneratorConfig(energy_kind="cubic"),
     "release_max must be finite and non-negative, got inf":
         lambda: GeneratorConfig(release_max=float("inf")),

@@ -310,6 +310,18 @@ def test_rho_scaled_seed_15_lp_solves_from_the_list_start():
     assert result.objective == pytest.approx(highs_objective(model), rel=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="a rho of 2**50 among rhos of 1 to 3 stalls on the cost "
+                                       "side: iteration_limit after 4,998 degenerate pivots")
+def test_rho_2_to_the_50_lp_solves_from_the_list_start():
+    # 2**50 is exact in a float and passes validation; HiGHS calls this LP a
+    # "Model error", so only the status is asserted.  At 2**49 both solvers
+    # reach 3193269256988893.0, the bundled simplex in 84 pivots
+    base = generate(1, 3, 2)
+    jobs = tuple(dataclasses.replace(j, rho=2**50) if j.id == 1 else j for j in base.jobs)
+    inst = dataclasses.replace(base, jobs=jobs)
+    assert _solve_from_the_list_start(build_lp(inst, inst.grid)).status == "optimal"
+
+
 def _shift_job_1(result, b):
     """Take 1.5e-7 of job 1's mass off its largest column: more than the
     mass check allows, less than the residual limit on these right-hand sides."""

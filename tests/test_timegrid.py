@@ -16,14 +16,14 @@ def make(jobs, speeds, epsilon, delta=1.0):
 def test_single_job_two_speeds():
     # kappa = 2/2 = 1, horizon = 2/1 = 2, boundaries 1, 1, 2
     grid = build_grid(make([Job(1, 2, 1.0)], [1.0, 2.0], epsilon=1.0))
-    assert grid.kappa == pytest.approx(1.0)
+    assert grid.tau[0] == pytest.approx(1.0)
     assert grid.T == 2
     assert grid.tau == pytest.approx((1.0, 1.0, 2.0))
 
 
 def test_two_identical_jobs():
     grid = build_grid(make([Job(1, 1, 1.0), Job(2, 1, 1.0)], [1.0], epsilon=1.0))
-    assert grid.kappa == pytest.approx(1.0)
+    assert grid.tau[0] == pytest.approx(1.0)
     assert grid.T == 2
 
 
@@ -57,7 +57,7 @@ def test_T_is_minimal():
 
 def test_interval_of_kappa_maps_to_one():
     grid = build_grid(make([Job(1, 2, 1.0)], [1.0, 2.0], epsilon=1.0))
-    assert interval_of(grid, grid.kappa) == 1
+    assert interval_of(grid, grid.tau[0]) == 1
 
 
 def test_interval_of_boundary_is_right_closed():
@@ -75,7 +75,7 @@ def test_interval_of_just_above_boundary():
 def test_interval_of_out_of_range():
     grid = build_grid(make([Job(1, 2, 1.0)], [1.0], epsilon=1.0))
     with pytest.raises(ValueError):
-        interval_of(grid, grid.kappa / 2)
+        interval_of(grid, grid.tau[0] / 2)
     with pytest.raises(ValueError):
         interval_of(grid, grid.tau[-1] * 2)
 
@@ -83,7 +83,7 @@ def test_interval_of_out_of_range():
 def test_interval_of_monotone():
     inst = generate(5, 5, 2, GeneratorConfig(epsilon=0.8))
     grid = build_grid(inst)
-    times = np.linspace(grid.kappa, grid.tau[-1], 200)
+    times = np.linspace(grid.tau[0], grid.tau[-1], 200)
     vals = [interval_of(grid, t) for t in times]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
