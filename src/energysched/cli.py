@@ -175,7 +175,11 @@ def cmd_lpdump(args) -> int:
 
 
 def _perf_row(seed: int, n: int) -> dict:
-    """Grid, LP build, solve and dump of ``generate(seed, n, 3)``, each timed."""
+    """Grid, LP build, solve and dump of ``generate(seed, n, 3)``, each timed.
+
+    ``build_lp`` builds no ``Row``: ``constraint_arrays`` builds the rows on
+    their first read, inside ``solve_lp``, so they count in ``solve_s``, not
+    in ``build_s``."""
     inst = instance_mod.generate(seed, n, 3)
     t0 = time.perf_counter()
     grid = timegrid.build_grid(inst)     # not inst.grid: generate has cached it

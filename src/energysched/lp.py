@@ -34,8 +34,11 @@ Rounding and evaluation still enforce the full edge set.
 ``LpModel`` keeps the structure of these rows: ``load`` (n x m, the machine
 time ``rho_i / sigma_j``), ``src`` and ``dst`` (the job positions of each
 reduced edge) and ``first`` (per job, its first interval with an unpinned
-column), with T from the grid.  ``rows`` is derived from them, and
-:func:`lp_dump` writes the rows from them, never reading ``rows``.
+column), with T from the grid.  ``build_lp`` builds no ``Row``: ``rows`` is
+built from the structure on its first read and kept.  A solve reads it, in
+:func:`constraint_arrays` and :func:`start_basis`; :func:`lp_dump` writes the
+rows from the structure and the list-schedule start is found from it, so
+neither ever reads ``rows``.
 
 ``build_lp`` also finds the vertex of a greedy list schedule, kept as
 ``LpModel.start``, and :func:`solve_lp` starts the simplex there.  Job i runs
@@ -63,6 +66,8 @@ row, is triangular and so non-singular; the point is therefore a vertex.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,7 +97,7 @@ class LpModel:
     grid: TimeGrid
     objective: np.ndarray    # (ncols,)
     upper: np.ndarray        # 1.0, or 0.0 for pinned columns
-    rows: tuple
+    rows: Sequence           # of Row, built on first read; lp_dump and the start never read it
     start: np.ndarray        # (n,) the list-schedule column of each job, basic on its assign row
     load: np.ndarray         # (n, m) rho_i / sigma_j, each capacity row's value on (i, j, t)
     src: np.ndarray          # (E,) intp position of each reduced edge's predecessor
@@ -138,29 +143,11 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
         )
 
     block = np.arange(n * m * T).reshape(n, m, T)   # block[i, j, t - 1] is column (i, j, t)
-    ones = np.ones(m * T)                   # every assign row's values
-    ones.flags.writeable = False
-    rows = [Row("assign", (job.id,), block[i].ravel(), ones, "=", 1.0)
-            for i, job in enumerate(jobs)]
-    for t in range(1, T + 1):
-        rows.append(Row("capacity", (t,), block[:, :, :t].ravel(),
-                        np.repeat(load.ravel(), t), "<=", grid.tau[t]))
-
     first = job_free.argmax(axis=1) + 1     # first interval with an unpinned column
     pos = {job.id: i for i, job in enumerate(jobs)}
     edges = instance.precedence.reduced_edges
     src = np.array([pos[a] for a, _ in edges], dtype=np.intp)
     dst = np.array([pos[b] for _, b in edges], dtype=np.intp)
-    # prec row t of edge (a, b) is pair[:, :, :t] flattened, with pair the
-    # (m, T, 2) stack of a's and b's columns
-    pair = np.stack([block[src], block[dst]], axis=-1)
-    cols = [pair[:, :, :t].reshape(len(edges), 2 * m * t) for t in range(T)]
-    signs = np.tile([1.0, -1.0], m * T)      # every prec row's values are a prefix of it
-    signs.flags.writeable = False
-    sign = [signs[: 2 * m * t] for t in range(T)]
-    for e, (a, b) in enumerate(edges):
-        rows += [Row._make(("prec", (a, b, t), cols[t][e], sign[t], ">=", 0.0))
-                 for t in range(first[dst[e]], T)]
 
     # the list schedule's vertex (module docstring)
     speed = np.argmin(instance.energy_costs + weight.sum() * load, axis=1)
@@ -173,7 +160,56 @@ def build_lp(instance: Instance, grid: TimeGrid) -> LpModel:
     t = np.minimum(np.searchsorted(tau[1:], completion) + 1, T)
     start = block[np.arange(n), speed, t - 1]
 
-    return LpModel(instance, grid, obj, upper, tuple(rows), start, load, src, dst, first)
+    rows = _Rows((instance, grid, load, src, dst, first))
+    return LpModel(instance, grid, obj, upper, rows, start, load, src, dst, first)
+
+
+def _build_rows(instance: Instance, grid: TimeGrid, load, src, dst, first) -> tuple:
+    """The rows of the LP with this structure (module docstring), one ``Row``
+    each: the assign rows, then capacity, then prec."""
+    n, m, T = instance.n, instance.speedset.m, grid.T
+    block = np.arange(n * m * T).reshape(n, m, T)   # block[i, j, t - 1] is column (i, j, t)
+    ones = np.ones(m * T)                   # every assign row's values
+    ones.flags.writeable = False
+    rows = [Row("assign", (job.id,), block[i].ravel(), ones, "=", 1.0)
+            for i, job in enumerate(instance.jobs)]
+    for t in range(1, T + 1):
+        rows.append(Row("capacity", (t,), block[:, :, :t].ravel(),
+                        np.repeat(load.ravel(), t), "<=", grid.tau[t]))
+
+    edges = instance.precedence.reduced_edges
+    # prec row t of edge (a, b) is pair[:, :, :t] flattened, with pair the
+    # (m, T, 2) stack of a's and b's columns
+    pair = np.stack([block[src], block[dst]], axis=-1)
+    cols = [pair[:, :, :t].reshape(len(edges), 2 * m * t) for t in range(T)]
+    signs = np.tile([1.0, -1.0], m * T)      # every prec row's values are a prefix of it
+    signs.flags.writeable = False
+    sign = [signs[: 2 * m * t] for t in range(T)]
+    for e, (a, b) in enumerate(edges):
+        rows += [Row._make(("prec", (a, b, t), cols[t][e], sign[t], ">=", 0.0))
+                 for t in range(first[dst[e]], T)]
+    return tuple(rows)
+
+
+class _Rows(Sequence):
+    """``LpModel.rows`` as ``build_lp`` leaves it: :func:`_build_rows` of the
+    LP's structure, called on the first ``len``, iteration or index and kept."""
+
+    def __init__(self, structure: tuple):
+        self._structure = structure
+
+    @functools.cached_property
+    def _rows(self) -> tuple:
+        return _build_rows(*self._structure)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __iter__(self):
+        return iter(self._rows)     # not Sequence's, which indexes one row at a time
 
 
 def _flat(cols, vals):

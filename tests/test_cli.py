@@ -296,9 +296,21 @@ def test_lp_dump_to_file(inst_path, tmp_path, capsys):
     assert "assign_1:" in text
 
 
+class _NoRow:
+    """Stands in for ``lp.Row``: building any row raises."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a Row was built")
+
+    @classmethod
+    def _make(cls, iterable):
+        raise AssertionError("a Row was built")
+
+
 @pytest.mark.parametrize("kind, seed", BUILD_LP_DIGESTS)
-def test_lp_dump_stdout_is_pinned(kind, seed, tmp_path, capsys):
-    # load, grid, build and dump end to end, from an instance file
+def test_lp_dump_stdout_is_pinned(kind, seed, tmp_path, capsys, monkeypatch):
+    # load, grid, build and dump end to end, from an instance file, building no row
+    monkeypatch.setattr(lp, "Row", _NoRow)
     path = tmp_path / "inst.json"
     save(generate(seed, 40, 3, GeneratorConfig(edge_density=0.3, energy_kind=kind)), path)
     rc, out, err = run_cli(capsys, "lp-dump", str(path))

@@ -474,6 +474,19 @@ def test_model_with_dropped_prec_rows_solves_to_its_own_optimum(family, keep):
     assert dropped
 
 
+def test_a_solve_builds_the_rows_once(monkeypatch):
+    # build_lp builds none; constraint_arrays and start_basis share one build
+    calls = []
+    build_rows = es.lp._build_rows
+    monkeypatch.setattr(es.lp, "_build_rows",
+                        lambda *structure: calls.append(structure) or build_rows(*structure))
+    inst = generate(1, 10, 3, GeneratorConfig(edge_density=0.3))
+    model = build_lp(inst, build_grid(inst))
+    assert not calls
+    solve_lp(model)
+    assert len(calls) == 1
+
+
 def _edge_value_model():
     """An n = 2, m = 2 model whose objective and bounds carry 0.0, -0.0 and
     two values equal to 12 significant digits; the dump reads both fields."""
